@@ -12,21 +12,24 @@
 #include <string>
 #include <vector>
 
-#include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "oracle/audit.hpp"
 #include "util/fmt.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
-using dvv::kv::ClusterConfig;
+using dvv::kv::StoreConfig;
 using dvv::oracle::mirrored_run;
 using dvv::workload::WorkloadSpec;
 
 const std::vector<std::uint64_t> kSeeds{1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
 
-ClusterConfig config() {
-  ClusterConfig cfg;
+/// `prune_cap` > 0 selects the pruned client-vv variant.
+StoreConfig config(const char* mechanism, std::size_t prune_cap = 0) {
+  StoreConfig cfg;
+  cfg.mechanism = mechanism;
+  cfg.prune_cap = prune_cap;
   cfg.servers = 6;
   cfg.replication = 3;
   cfg.vnodes = 32;
@@ -53,14 +56,13 @@ WorkloadSpec spec(std::uint64_t seed, double replicate_probability,
   return s;
 }
 
-template <typename M>
 void run_row(dvv::util::TextTable& table, const char* name,
-             double replicate_probability, M mechanism, bool crashes = false) {
+             double replicate_probability, const StoreConfig& cfg,
+             bool crashes = false) {
   std::size_t exact = 0;
   std::uint64_t lost = 0, false_sib = 0, checked = 0;
   for (const auto seed : kSeeds) {
-    const auto run = mirrored_run(spec(seed, replicate_probability, crashes),
-                                  config(), mechanism);
+    const auto run = mirrored_run(spec(seed, replicate_probability, crashes), cfg);
     exact += run.report.exact() ? 1u : 0u;
     lost += run.report.lost_updates();
     false_sib += run.report.false_siblings();
@@ -86,23 +88,23 @@ int main() {
                 "values checked"});
 
   // Partial replication: the hard regime (reads can miss writes).
-  run_row(table, "dvv", 0.6, dvv::kv::DvvMechanism{});
-  run_row(table, "dvvset", 0.6, dvv::kv::DvvSetMechanism{});
-  run_row(table, "vve (WinFS)", 0.6, dvv::kv::VveMechanism{});
-  run_row(table, "client-vv", 0.6, dvv::kv::ClientVvMechanism{});
-  run_row(table, "server-vv", 0.6, dvv::kv::ServerVvMechanism{});
+  run_row(table, "dvv", 0.6, config("dvv"));
+  run_row(table, "dvvset", 0.6, config("dvvset"));
+  run_row(table, "vve (WinFS)", 0.6, config("vve"));
+  run_row(table, "client-vv", 0.6, config("client-vv"));
+  run_row(table, "server-vv", 0.6, config("server-vv"));
   // Full replication: read-your-writes holds; client-vv recovers,
   // server-vv still fails (its flaw needs only racing clients).
-  run_row(table, "dvv", 1.0, dvv::kv::DvvMechanism{});
-  run_row(table, "dvvset", 1.0, dvv::kv::DvvSetMechanism{});
-  run_row(table, "client-vv", 1.0, dvv::kv::ClientVvMechanism{});
-  run_row(table, "client-vv cap=4", 1.0, dvv::kv::pruned_client_vv(4));
-  run_row(table, "server-vv", 1.0, dvv::kv::ServerVvMechanism{});
+  run_row(table, "dvv", 1.0, config("dvv"));
+  run_row(table, "dvvset", 1.0, config("dvvset"));
+  run_row(table, "client-vv", 1.0, config("client-vv"));
+  run_row(table, "client-vv cap=4", 1.0, config("client-vv", 4));
+  run_row(table, "server-vv", 1.0, config("server-vv"));
   // Crash regime: fail-stop outages + hinted handoff.  Sound clocks must
   // not care where the bytes were parked.
-  run_row(table, "dvv", 1.0, dvv::kv::DvvMechanism{}, /*crashes=*/true);
-  run_row(table, "dvvset", 1.0, dvv::kv::DvvSetMechanism{}, /*crashes=*/true);
-  run_row(table, "server-vv", 1.0, dvv::kv::ServerVvMechanism{}, /*crashes=*/true);
+  run_row(table, "dvv", 1.0, config("dvv"), /*crashes=*/true);
+  run_row(table, "dvvset", 1.0, config("dvvset"), /*crashes=*/true);
+  run_row(table, "server-vv", 1.0, config("server-vv"), /*crashes=*/true);
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf("shape check: dvv/dvvset 10/10 exact in BOTH regimes (the paper's\n");

@@ -15,20 +15,23 @@
 #include <cstdio>
 #include <string>
 
-#include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "oracle/audit.hpp"
 #include "util/fmt.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
-using dvv::kv::ClusterConfig;
+using dvv::kv::StoreConfig;
 using dvv::oracle::mirrored_run;
 using dvv::util::fixed;
 using dvv::workload::WorkloadSpec;
 
-ClusterConfig config() {
-  ClusterConfig cfg;
+/// `prune_cap` > 0 selects the pruned client-vv variant.
+StoreConfig config(const char* mechanism, std::size_t prune_cap = 0) {
+  StoreConfig cfg;
+  cfg.mechanism = mechanism;
+  cfg.prune_cap = prune_cap;
   cfg.servers = 6;
   cfg.replication = 3;
   cfg.vnodes = 32;
@@ -48,9 +51,8 @@ WorkloadSpec spec() {
   return s;
 }
 
-template <typename M>
-void run_row(dvv::util::TextTable& table, const char* name, M mechanism) {
-  const auto run = mirrored_run(spec(), config(), std::move(mechanism));
+void run_row(dvv::util::TextTable& table, const char* name, const StoreConfig& cfg) {
+  const auto run = mirrored_run(spec(), cfg);
   table.row({name, std::to_string(run.report.lost_updates()),
              std::to_string(run.report.false_siblings()),
              std::to_string(run.report.values_checked),
@@ -70,15 +72,15 @@ int main() {
   dvv::util::TextTable table;
   table.header({"mechanism", "lost updates", "false siblings", "values checked",
                 "GET meta B (mean)", "final meta bytes", "exact?"});
-  run_row(table, "client-vv cap=2", dvv::kv::pruned_client_vv(2));
-  run_row(table, "client-vv cap=4", dvv::kv::pruned_client_vv(4));
-  run_row(table, "client-vv cap=8", dvv::kv::pruned_client_vv(8));
-  run_row(table, "client-vv cap=16", dvv::kv::pruned_client_vv(16));
-  run_row(table, "client-vv cap=32", dvv::kv::pruned_client_vv(32));
-  run_row(table, "client-vv unpruned", dvv::kv::ClientVvMechanism{});
-  run_row(table, "server-vv", dvv::kv::ServerVvMechanism{});
-  run_row(table, "dvv", dvv::kv::DvvMechanism{});
-  run_row(table, "dvvset", dvv::kv::DvvSetMechanism{});
+  run_row(table, "client-vv cap=2", config("client-vv", 2));
+  run_row(table, "client-vv cap=4", config("client-vv", 4));
+  run_row(table, "client-vv cap=8", config("client-vv", 8));
+  run_row(table, "client-vv cap=16", config("client-vv", 16));
+  run_row(table, "client-vv cap=32", config("client-vv", 32));
+  run_row(table, "client-vv unpruned", config("client-vv"));
+  run_row(table, "server-vv", config("server-vv"));
+  run_row(table, "dvv", config("dvv"));
+  run_row(table, "dvvset", config("dvvset"));
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf("shape check: tighter caps -> more anomalies; the unpruned\n");

@@ -14,21 +14,22 @@
 #include <cstdio>
 #include <string>
 
-#include "kv/cluster.hpp"
-#include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "util/fmt.hpp"
 #include "workload/replay.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
-using dvv::kv::Cluster;
-using dvv::kv::ClusterConfig;
+using dvv::kv::StoreConfig;
 using dvv::util::fixed;
 using dvv::workload::WorkloadSpec;
 
-ClusterConfig config() {
-  ClusterConfig cfg;
+/// `prune_cap` > 0 selects the pruned client-vv variant.
+StoreConfig config(const char* mechanism, std::size_t prune_cap = 0) {
+  StoreConfig cfg;
+  cfg.mechanism = mechanism;
+  cfg.prune_cap = prune_cap;
   cfg.servers = 6;
   cfg.replication = 3;
   cfg.vnodes = 32;
@@ -49,13 +50,12 @@ WorkloadSpec spec_for(std::size_t clients) {
   return spec;
 }
 
-template <typename M>
 void run_row(dvv::util::TextTable& table, std::size_t clients, const char* name,
-             M mechanism) {
+             const StoreConfig& cfg) {
   const auto spec = spec_for(clients);
-  const auto trace = dvv::workload::generate_trace(spec, config().replication);
-  Cluster<M> cluster(config(), std::move(mechanism));
-  const auto stats = dvv::workload::replay(cluster, trace);
+  const auto trace = dvv::workload::generate_trace(spec, cfg.replication);
+  const auto store = dvv::kv::make_store(cfg);
+  const auto stats = dvv::workload::replay(*store, trace);
 
   table.row({std::to_string(clients), name,
              fixed(stats.get_metadata_bytes.mean(), 1),
@@ -76,11 +76,11 @@ int main() {
   table.header({"clients", "mechanism", "GET meta B (mean)", "p95",
                 "clock entries/GET", "siblings/GET", "final meta bytes"});
   for (const std::size_t clients : {8u, 16u, 32u, 64u, 128u, 256u}) {
-    run_row(table, clients, "client-vv", dvv::kv::ClientVvMechanism{});
-    run_row(table, clients, "client-vv(cap10)", dvv::kv::pruned_client_vv(10));
-    run_row(table, clients, "dvv", dvv::kv::DvvMechanism{});
-    run_row(table, clients, "dvvset", dvv::kv::DvvSetMechanism{});
-    run_row(table, clients, "vve", dvv::kv::VveMechanism{});
+    run_row(table, clients, "client-vv", config("client-vv"));
+    run_row(table, clients, "client-vv(cap10)", config("client-vv", 10));
+    run_row(table, clients, "dvv", config("dvv"));
+    run_row(table, clients, "dvvset", config("dvvset"));
+    run_row(table, clients, "vve", config("vve"));
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("shape check: client-vv metadata grows with the client column;\n");

@@ -19,21 +19,20 @@
 #include "codec/clock_codec.hpp"
 #include "core/dotted_version_vector.hpp"
 #include "core/vve.hpp"
-#include "kv/cluster.hpp"
-#include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "util/fmt.hpp"
 #include "workload/replay.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
-using dvv::kv::Cluster;
-using dvv::kv::ClusterConfig;
+using dvv::kv::StoreConfig;
 using dvv::util::fixed;
 using dvv::workload::WorkloadSpec;
 
-ClusterConfig config() {
-  ClusterConfig cfg;
+StoreConfig config(const char* mechanism) {
+  StoreConfig cfg;
+  cfg.mechanism = mechanism;
   cfg.servers = 6;
   cfg.replication = 3;
   cfg.vnodes = 32;
@@ -53,12 +52,11 @@ WorkloadSpec spec_for(std::size_t clients) {
   return spec;
 }
 
-template <typename M>
-dvv::workload::ReplayStats run_workload(std::size_t clients, M mechanism) {
-  const auto spec = spec_for(clients);
-  const auto trace = dvv::workload::generate_trace(spec, config().replication);
-  Cluster<M> cluster(config(), std::move(mechanism));
-  return dvv::workload::replay(cluster, trace);
+dvv::workload::ReplayStats run_workload(std::size_t clients, const char* mechanism) {
+  const StoreConfig cfg = config(mechanism);
+  const auto trace = dvv::workload::generate_trace(spec_for(clients), cfg.replication);
+  const auto store = dvv::kv::make_store(cfg);
+  return dvv::workload::replay(*store, trace);
 }
 
 template <typename F>
@@ -79,8 +77,8 @@ int main() {
   meta.header({"clients", "mechanism", "GET meta B (mean)", "p95",
                "clock slots/GET", "final meta bytes"});
   for (const std::size_t clients : {16u, 64u, 256u}) {
-    const auto vve = run_workload(clients, dvv::kv::VveMechanism{});
-    const auto dvv_s = run_workload(clients, dvv::kv::DvvMechanism{});
+    const auto vve = run_workload(clients, "vve");
+    const auto dvv_s = run_workload(clients, "dvv");
     meta.row({std::to_string(clients), "vve",
               fixed(vve.get_metadata_bytes.mean(), 1),
               fixed(vve.get_metadata_bytes.p95(), 0),

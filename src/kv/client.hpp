@@ -94,15 +94,6 @@ class ClientSession {
   /// Forgets the remembered context for `key` (the next put is blind).
   void forget(const Key& key) { contexts_.erase(key); }
 
-  /// Adopts a context obtained OUTSIDE this session's own get() — the
-  /// async replay path completes coordinated reads (Cluster::begin_read)
-  /// long after issuing them and hands the merged context back here.
-  /// Same rule as get(): an unavailable read must not call this (a
-  /// clobbered context would turn the next put into a blind write).
-  void remember(const Key& key, Context context) {
-    contexts_[key] = std::move(context);
-  }
-
   [[nodiscard]] Context context_for(const Key& key) const {
     auto it = contexts_.find(key);
     return it == contexts_.end() ? Context{} : it->second;

@@ -72,6 +72,7 @@
 #include <utility>
 #include <vector>
 
+#include "kv/config.hpp"
 #include "kv/coordinator.hpp"
 #include "kv/mechanism.hpp"
 #include "kv/replica.hpp"
@@ -90,24 +91,6 @@
 #include "util/assert.hpp"
 
 namespace dvv::kv {
-
-struct ClusterConfig {
-  std::size_t servers = 3;
-  std::size_t replication = 3;
-  std::size_t vnodes = 64;
-  sync::MerkleConfig aae{};          ///< geometry of the per-replica hash trees
-  store::BackendConfig storage{};    ///< per-replica durability model
-  net::TransportConfig transport{};  ///< inter-replica message layer (src/net)
-  /// Elastic membership (src/membership): `capacity` replicas are
-  /// PROVISIONED (processes exist, ids 0..capacity-1) but only
-  /// `initial_members` are ring members at epoch 0 — the rest join
-  /// later through join_node().  Defaults keep the pre-membership
-  /// shape: capacity = servers, members = {0..servers-1}, and with
-  /// those defaults every routing decision is byte-identical to a
-  /// cluster without the subsystem.
-  std::size_t capacity = 0;                  ///< 0 = servers
-  std::vector<ReplicaId> initial_members{};  ///< empty = {0..servers-1}
-};
 
 template <CausalityMechanism M>
 class Cluster {
@@ -162,13 +145,13 @@ class Cluster {
         rebalance_(std::move(other.rebalance_)),
         known_epoch_(std::move(other.known_epoch_)),
         digest_index_(std::move(other.digest_index_)),
-        transport_(std::move(other.transport_)),
         replicas_(std::move(other.replicas_)),
         shards_(std::move(other.shards_)),
         next_sync_nonce_(
             other.next_sync_nonce_.load(std::memory_order_relaxed)),
         repairs_shipped_total_(
-            other.repairs_shipped_total_.load(std::memory_order_relaxed)) {
+            other.repairs_shipped_total_.load(std::memory_order_relaxed)),
+        transport_(std::move(other.transport_)) {
     for (auto& rep : replicas_) rep.set_observer(&digest_index_);
     wire_partitioner();
     wire_transport();
@@ -2068,7 +2051,6 @@ class Cluster {
   /// distinct memory locations, no lock needed.
   std::vector<std::uint64_t> known_epoch_;
   sync::DigestIndex digest_index_;
-  std::unique_ptr<net::Transport> transport_;
   std::vector<Replica<M>> replicas_;
   /// One ShardState per execution shard (see the shard routing section
   /// above).  Size 1 unless the wired transport is a ThreadedTransport,
@@ -2087,6 +2069,10 @@ class Cluster {
   /// accessors are logically const).  Only valid to fill at quiescence.
   mutable DeliveryDrops drops_scratch_{};
   mutable CoordStats coord_scratch_{};
+  /// Declared LAST so it is destroyed FIRST: a threaded transport's
+  /// destructor drains its workers, whose deliveries still write into
+  /// the replicas and shard states above.
+  std::unique_ptr<net::Transport> transport_;
 };
 
 }  // namespace dvv::kv

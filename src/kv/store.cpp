@@ -72,19 +72,6 @@ struct MechanismTag<HistoryMechanism> {
   static constexpr MechanismId kId = MechanismId::kCausalHistory;
 };
 
-[[nodiscard]] ClusterConfig cluster_config_of(const StoreConfig& config) {
-  ClusterConfig out;
-  out.servers = config.servers;
-  out.replication = config.replication;
-  out.vnodes = config.vnodes;
-  out.aae = config.aae;
-  out.storage = config.storage;
-  out.transport = config.transport;
-  out.capacity = config.capacity;
-  out.initial_members = config.initial_members;
-  return out;
-}
-
 template <CausalityMechanism M>
 class TypedStore final : public Store {
  public:
@@ -92,7 +79,7 @@ class TypedStore final : public Store {
   static constexpr MechanismId kId = MechanismTag<M>::kId;
 
   TypedStore(const StoreConfig& config, M mechanism)
-      : cluster_(cluster_config_of(config), std::move(mechanism)) {}
+      : cluster_(config, std::move(mechanism)) {}
 
   // ---- identity / topology ----------------------------------------------
 
@@ -410,6 +397,12 @@ class TypedStore final : public Store {
     const auto* stored = cluster_.replica(r).find(key);
     if (stored == nullptr) return std::nullopt;
     return Replica<M>::encode_state(*stored);
+  }
+  [[nodiscard]] std::vector<Value> values_at(ReplicaId r,
+                                             const Key& key) const override {
+    const auto* stored = cluster_.replica(r).find(key);
+    if (stored == nullptr) return {};
+    return cluster_.mechanism().values_of(*stored);
   }
 
  private:

@@ -26,13 +26,13 @@
 //     kv/coordinator.hpp).
 //
 // The facade fully wraps Cluster<M> (store.cpp instantiates it for all
-// six mechanisms); a workload driven through Store with round-tripped
-// tokens is byte-identical to the same workload driven through
-// Cluster<M> directly — results, receipts and digest fixed points
-// (tests/store_api_test.cpp).  Use Cluster<M> directly only when the
-// point IS the mechanism's internals (kernel tests, clock-shape
-// benches, examples that print clocks); everything client-shaped goes
-// through Store.
+// six mechanisms) and adds nothing but the token boundary, so it makes
+// the same decisions Cluster<M> does.  It is the one client path:
+// dvvd, the trace replayer (workload/replay.hpp) and the lockstep
+// causality oracle (oracle/audit.hpp) all drive it.  Use Cluster<M>
+// directly only when the point IS the mechanism's internals (kernel
+// tests, clock-shape benches, examples that print clocks); everything
+// client-shaped goes through Store.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +44,7 @@
 #include <string_view>
 #include <vector>
 
+#include "kv/config.hpp"
 #include "kv/coordinator.hpp"
 #include "kv/results.hpp"
 #include "kv/token.hpp"
@@ -144,29 +145,15 @@ struct StoreKeyStats {
   std::size_t clock_entries = 0;
 };
 
-/// Everything a store needs at construction.  `mechanism` is the
-/// runtime mechanism choice by name; empty selects the process default
-/// (env DVV_MECHANISM when set — see default_mechanism_name() — else
-/// "dvv").
-struct StoreConfig {
-  std::string mechanism;             ///< "", "dvv", "dvvset", "server-vv",
-                                     ///  "client-vv", "vve", "causal-history"
-  std::size_t servers = 3;
-  std::size_t replication = 3;
-  std::size_t vnodes = 64;
-  sync::MerkleConfig aae{};          ///< geometry of the per-replica hash trees
-  store::BackendConfig storage{};    ///< per-replica durability model
-  net::TransportConfig transport{};  ///< inter-replica message layer
-  std::size_t prune_cap = 0;         ///< client-vv only: >0 enables the unsafe
-                                     ///  Riak-classic prune cap (experiment E8)
-  /// Elastic membership (src/membership): provisioned replica slots
-  /// beyond the seed ring.  0 means capacity == servers (no headroom,
-  /// byte-identical to the pre-membership store); ids in
-  /// [servers, capacity) start provisioned-but-outside the ring and
-  /// enter via join_node.
-  std::size_t capacity = 0;
-  /// Seed ring members (epoch 0).  Empty means {0 .. servers-1}.
-  std::vector<ReplicaId> initial_members{};
+/// Everything a store needs at construction: the cluster geometry and
+/// wiring (kv/config.hpp) plus the runtime mechanism choice.
+/// `mechanism` empty selects the process default (env DVV_MECHANISM
+/// when set — see default_mechanism_name() — else "dvv").
+struct StoreConfig : ClusterConfig {
+  std::string mechanism;      ///< "", "dvv", "dvvset", "server-vv",
+                              ///  "client-vv", "vve", "causal-history"
+  std::size_t prune_cap = 0;  ///< client-vv only: >0 enables the unsafe
+                              ///  Riak-classic prune cap (experiment E8)
 };
 
 /// The type-erased facade.  One virtual call per operation; the hot
@@ -332,10 +319,15 @@ class Store {
                                                 const Key& key) const = 0;
   [[nodiscard]] virtual std::vector<Key> keys(ReplicaId r) const = 0;
   /// Full codec encoding of one replica's state for `key` (nullopt when
-  /// absent) — the byte-level equivalence probe the facade proof tests
-  /// compare against the templated twin.
+  /// absent) — the byte-level probe twin and convergence tests compare.
   [[nodiscard]] virtual std::optional<std::string> encoded_state(
       ReplicaId r, const Key& key) const = 0;
+  /// The sibling values replica `r` stores for `key` (empty when
+  /// absent).  Like encoded_state this is a raw read of replica memory,
+  /// alive or not — the oracle audits paused replicas, which get()
+  /// refuses as kUnavailable.
+  [[nodiscard]] virtual std::vector<Value> values_at(ReplicaId r,
+                                                     const Key& key) const = 0;
 };
 
 /// The six mechanism names make_store accepts, in MechanismId order.

@@ -53,6 +53,13 @@ void ThreadedTransport::stop() {
   {
     const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
     if (!started_) return;
+  }
+  // Drain while the workers still run and started_ is still set: a
+  // delivery that sends onward re-enters the lazy start(), which must
+  // stay a no-op rather than spawn over a joinable worker.
+  quiesce();
+  {
+    const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
     started_ = false;
   }
   for (const auto& shard : shards_) {

@@ -1,13 +1,16 @@
 // dvv/oracle/audit.hpp
 //
-// The causality oracle: replays a trace *in lockstep* on the mechanism
-// under test and on the causal-history cluster (exact by §1 of the
-// paper), auditing after every operation.
+// The causality oracle: replays a trace *in lockstep* on a kv::Store
+// running the mechanism under test and on a causal-history store
+// (exact by §1 of the paper), auditing after every operation.  Both
+// run the same facade path (workload::StoreReplayer over kv::Session)
+// that dvvd and every client use, and the audit reads each replica's
+// siblings through Store::values_at — paused replicas included.
 //
 // Because every write in a trace carries a globally unique payload, the
-// sibling sets of the two clusters are comparable as sets of strings:
+// sibling sets of the two stores are comparable as sets of strings:
 //
-//   * a value the truth cluster retains but the subject lost
+//   * a value the truth store retains but the subject lost
 //       -> LOST UPDATE: the subject's clocks wrongly claimed the value
 //          was dominated and discarded it (the Fig. 1b disaster; also
 //          a pruning failure mode of E8);
@@ -30,12 +33,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
-#include <utility>
+#include <vector>
 
-#include "kv/cluster.hpp"
-#include "kv/mechanism.hpp"
+#include "kv/store.hpp"
+#include "util/assert.hpp"
 #include "workload/replay.hpp"
 #include "workload/trace.hpp"
 
@@ -59,13 +63,12 @@ struct AuditReport {
   }
 };
 
-/// Drives subject and truth clusters through the same trace in lockstep
-/// and audits continuously.  The two clusters must share ring geometry
+/// Drives subject and truth stores through the same trace in lockstep
+/// and audits continuously.  The two stores must share ring geometry
 /// (same servers / replication / vnodes), which mirrored_run guarantees.
-template <kv::CausalityMechanism M>
 class LockstepAuditor {
  public:
-  LockstepAuditor(kv::Cluster<M>& subject, kv::Cluster<kv::HistoryMechanism>& truth,
+  LockstepAuditor(kv::Store& subject, kv::Store& truth,
                   const workload::Trace& trace)
       : subject_(&subject),
         truth_(&truth),
@@ -103,26 +106,18 @@ class LockstepAuditor {
   void audit_all_keys() {
     ++report_.audits;
     for (std::size_t s = 0; s < truth_->servers(); ++s) {
-      for (const kv::Key& key : truth_->replica(s).keys()) {
-        compare_state(static_cast<kv::ReplicaId>(s), key);
-      }
+      const auto r = static_cast<kv::ReplicaId>(s);
+      for (const kv::Key& key : truth_->keys(r)) compare_state(r, key);
     }
   }
 
   void compare_state(kv::ReplicaId r, const kv::Key& key) {
     ++report_.keys_checked;
-    std::set<std::string> subject_values;
-    if (const auto* stored = subject_->replica(r).find(key)) {
-      for (auto& v : subject_->mechanism().values_of(*stored)) {
-        subject_values.insert(std::move(v));
-      }
-    }
-    std::set<std::string> truth_values;
-    if (const auto* stored = truth_->replica(r).find(key)) {
-      for (auto& v : truth_->mechanism().values_of(*stored)) {
-        truth_values.insert(std::move(v));
-      }
-    }
+    const std::vector<kv::Value> subject_list = subject_->values_at(r, key);
+    const std::vector<kv::Value> truth_list = truth_->values_at(r, key);
+    const std::set<std::string> subject_values(subject_list.begin(),
+                                               subject_list.end());
+    const std::set<std::string> truth_values(truth_list.begin(), truth_list.end());
     report_.values_checked += truth_values.size();
     for (const auto& v : truth_values) {
       if (!subject_values.contains(v)) report_.lost_values.insert(v);
@@ -132,36 +127,34 @@ class LockstepAuditor {
     }
   }
 
-  kv::Cluster<M>* subject_;
-  kv::Cluster<kv::HistoryMechanism>* truth_;
-  workload::Replayer<M> subject_replay_;
-  workload::Replayer<kv::HistoryMechanism> truth_replay_;
+  kv::Store* subject_;
+  kv::Store* truth_;
+  workload::StoreReplayer subject_replay_;
+  workload::StoreReplayer truth_replay_;
   AuditReport report_;
 };
 
 /// Everything a mirrored (subject vs truth) run produces.
-template <kv::CausalityMechanism M>
 struct MirroredRun {
-  kv::Cluster<M> subject;
-  kv::Cluster<kv::HistoryMechanism> truth;
+  std::unique_ptr<kv::Store> subject;
+  std::unique_ptr<kv::Store> truth;
   workload::ReplayStats subject_stats;
   workload::ReplayStats truth_stats;
   AuditReport report;
 };
 
-/// Generates the trace for `spec`, replays it on both clusters in
-/// lockstep with continuous audits.
-template <kv::CausalityMechanism M>
-[[nodiscard]] MirroredRun<M> mirrored_run(const workload::WorkloadSpec& spec,
-                                          const kv::ClusterConfig& config,
-                                          M mechanism) {
-  MirroredRun<M> run{kv::Cluster<M>(config, std::move(mechanism)),
-                     kv::Cluster<kv::HistoryMechanism>(config, kv::HistoryMechanism{}),
-                     {},
-                     {},
-                     {}};
+/// Generates the trace for `spec` and replays it in lockstep, with
+/// continuous audits, on make_store(config) — `config.mechanism` and
+/// `config.prune_cap` name the subject — and on a causal-history store
+/// of the same geometry.
+[[nodiscard]] inline MirroredRun mirrored_run(const workload::WorkloadSpec& spec,
+                                              const kv::StoreConfig& config) {
+  MirroredRun run;
+  run.subject = kv::make_store(config);
+  DVV_ASSERT_MSG(run.subject != nullptr, "oracle: unknown subject mechanism");
+  run.truth = kv::make_store("causal-history", config);
   const workload::Trace trace = workload::generate_trace(spec, config.replication);
-  LockstepAuditor<M> auditor(run.subject, run.truth, trace);
+  LockstepAuditor auditor(*run.subject, *run.truth, trace);
   run.report = auditor.run(trace);
   run.subject_stats = auditor.finish_subject();
   run.truth_stats = auditor.finish_truth();

@@ -10,23 +10,24 @@
 #include <string>
 #include <tuple>
 
-#include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "workload/replay.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
-using dvv::kv::Cluster;
-using dvv::kv::ClusterConfig;
-using dvv::kv::DvvMechanism;
+using dvv::kv::ReplicaId;
+using dvv::kv::Store;
+using dvv::kv::StoreConfig;
 using dvv::workload::WorkloadSpec;
 
 using Geometry = std::tuple<std::size_t, std::size_t>;  // servers, replication
 
 class GeometrySweep : public ::testing::TestWithParam<Geometry> {
  protected:
-  ClusterConfig config() const {
-    ClusterConfig cfg;
+  StoreConfig config() const {
+    StoreConfig cfg;
+    cfg.mechanism = "dvv";
     cfg.servers = std::get<0>(GetParam());
     cfg.replication = std::get<1>(GetParam());
     cfg.vnodes = 16;
@@ -44,18 +45,14 @@ class GeometrySweep : public ::testing::TestWithParam<Geometry> {
     return s;
   }
 
-  template <typename M>
-  void expect_converged(Cluster<M>& cluster) const {
-    const auto& mech = cluster.mechanism();
-    for (std::size_t s = 0; s < config().servers; ++s) {
-      for (const auto& key : cluster.replica(s).keys()) {
+  void expect_converged(const Store& store) const {
+    for (ReplicaId s = 0; s < config().servers; ++s) {
+      for (const auto& key : store.keys(s)) {
         std::multiset<std::string> reference;
         bool first = true;
-        for (const auto r : cluster.preference_list(key)) {
-          std::multiset<std::string> values;
-          if (const auto* stored = cluster.replica(r).find(key)) {
-            for (auto& v : mech.values_of(*stored)) values.insert(v);
-          }
+        for (const auto r : store.preference_list(key)) {
+          const auto held = store.values_at(r, key);
+          const std::multiset<std::string> values(held.begin(), held.end());
           if (first) {
             reference = values;
             first = false;
@@ -72,21 +69,21 @@ class GeometrySweep : public ::testing::TestWithParam<Geometry> {
 
 TEST_P(GeometrySweep, AntiEntropyConvergesAllGeometries) {
   const auto trace = dvv::workload::generate_trace(spec(), config().replication);
-  Cluster<DvvMechanism> cluster(config(), {});
-  dvv::workload::replay(cluster, trace);
-  cluster.anti_entropy();
-  expect_converged(cluster);
+  const auto store = dvv::kv::make_store(config());
+  dvv::workload::replay(*store, trace);
+  store->anti_entropy();
+  expect_converged(*store);
 }
 
 TEST_P(GeometrySweep, AntiEntropyIsAFixedPoint) {
   const auto trace = dvv::workload::generate_trace(spec(), config().replication);
-  Cluster<DvvMechanism> cluster(config(), {});
-  dvv::workload::replay(cluster, trace);
-  cluster.anti_entropy();
-  const auto once = cluster.footprint();
-  cluster.anti_entropy();
-  cluster.anti_entropy();
-  const auto thrice = cluster.footprint();
+  const auto store = dvv::kv::make_store(config());
+  dvv::workload::replay(*store, trace);
+  store->anti_entropy();
+  const auto once = store->footprint();
+  store->anti_entropy();
+  store->anti_entropy();
+  const auto thrice = store->footprint();
   EXPECT_EQ(once.siblings, thrice.siblings);
   EXPECT_EQ(once.metadata_bytes, thrice.metadata_bytes);
   EXPECT_EQ(once.total_bytes, thrice.total_bytes);
@@ -107,14 +104,14 @@ TEST_P(GeometrySweep, ReplicationLuckDoesNotChangeConvergedState) {
   const auto eager_trace =
       dvv::workload::generate_trace(eager_spec, config().replication);
 
-  Cluster<DvvMechanism> lazy(config(), {});
-  Cluster<DvvMechanism> eager(config(), {});
-  dvv::workload::replay(lazy, lazy_trace);
-  dvv::workload::replay(eager, eager_trace);
-  lazy.anti_entropy();
-  eager.anti_entropy();
-  expect_converged(lazy);
-  expect_converged(eager);
+  const auto lazy = dvv::kv::make_store(config());
+  const auto eager = dvv::kv::make_store(config());
+  dvv::workload::replay(*lazy, lazy_trace);
+  dvv::workload::replay(*eager, eager_trace);
+  lazy->anti_entropy();
+  eager->anti_entropy();
+  expect_converged(*lazy);
+  expect_converged(*eager);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -37,6 +37,7 @@
 #include "kv/cluster.hpp"
 #include "kv/coordinator.hpp"
 #include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "net/sim_transport.hpp"
 #include "net/transport.hpp"
 #include "oracle/audit.hpp"
@@ -50,6 +51,7 @@ using dvv::kv::Cluster;
 using dvv::kv::ClusterConfig;
 using dvv::kv::Key;
 using dvv::kv::ReplicaId;
+using dvv::kv::StoreConfig;
 using dvv::net::SimTransport;
 using dvv::util::Rng;
 
@@ -58,8 +60,11 @@ constexpr std::size_t kKeys = 24;
 constexpr std::size_t kClients = 5;
 constexpr std::size_t kOps = 500;
 
-ClusterConfig chaos_config(std::uint64_t seed) {
-  ClusterConfig cfg;
+/// The faulted geometry; `mechanism` names the store for the oracle
+/// runs (a Cluster<M> ignores it).
+StoreConfig chaos_config(std::uint64_t seed, std::string mechanism = {}) {
+  StoreConfig cfg;
+  cfg.mechanism = std::move(mechanism);
   cfg.servers = kServers;
   cfg.replication = 3;
   cfg.vnodes = 32;
@@ -365,12 +370,10 @@ TEST(AsyncReplay, TraceCarriesTickEvents) {
 TEST(AsyncReplay, DeterministicAndKeepsOpsInFlight) {
   const auto spec = async_spec(11);
   const auto trace = dvv::workload::generate_trace(spec, 3);
-  ClusterConfig cfg = chaos_config(11);
-
-  Cluster<dvv::kv::DvvMechanism> a(cfg, {});
-  Cluster<dvv::kv::DvvMechanism> b(cfg, {});
-  const auto stats_a = dvv::workload::replay(a, trace);
-  const auto stats_b = dvv::workload::replay(b, trace);
+  const auto a = dvv::kv::make_store(chaos_config(11, "dvv"));
+  const auto b = dvv::kv::make_store(chaos_config(11, "dvv"));
+  const auto stats_a = dvv::workload::replay(*a, trace);
+  const auto stats_b = dvv::workload::replay(*b, trace);
 
   EXPECT_GT(stats_a.ticks, 0u);
   EXPECT_GT(stats_a.max_in_flight, 1u)
@@ -384,10 +387,8 @@ TEST(AsyncReplay, OracleStaysLockstepDvvExactServerVvLosesUpdates) {
   std::uint64_t server_vv_anomalies = 0;
   for (const std::uint64_t seed : {3ULL, 11ULL, 77ULL}) {
     const auto spec = async_spec(seed);
-    const ClusterConfig cfg = chaos_config(seed);
 
-    const auto dvv_run =
-        dvv::oracle::mirrored_run(spec, cfg, dvv::kv::DvvMechanism{});
+    const auto dvv_run = dvv::oracle::mirrored_run(spec, chaos_config(seed, "dvv"));
     EXPECT_TRUE(dvv_run.report.exact())
         << "DVV must track causality exactly under concurrent-op chaos "
         << "(seed " << seed << "): lost " << dvv_run.report.lost_updates()
@@ -395,11 +396,11 @@ TEST(AsyncReplay, OracleStaysLockstepDvvExactServerVvLosesUpdates) {
     EXPECT_GT(dvv_run.subject_stats.max_in_flight, 1u);
 
     const auto dvvset_run =
-        dvv::oracle::mirrored_run(spec, cfg, dvv::kv::DvvSetMechanism{});
+        dvv::oracle::mirrored_run(spec, chaos_config(seed, "dvvset"));
     EXPECT_TRUE(dvvset_run.report.exact()) << "seed " << seed;
 
     const auto vv_run =
-        dvv::oracle::mirrored_run(spec, cfg, dvv::kv::ServerVvMechanism{});
+        dvv::oracle::mirrored_run(spec, chaos_config(seed, "server-vv"));
     server_vv_anomalies += vv_run.report.lost_updates();
   }
   EXPECT_GT(server_vv_anomalies, 0u)

@@ -13,8 +13,12 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
+#include "kv/client.hpp"
+#include "kv/cluster.hpp"
 #include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "oracle/audit.hpp"
 #include "store/backend.hpp"
 #include "store/wal_backend.hpp"
@@ -24,14 +28,18 @@
 namespace {
 
 using dvv::kv::Cluster;
-using dvv::kv::ClusterConfig;
 using dvv::kv::DvvMechanism;
-using dvv::kv::DvvSetMechanism;
+using dvv::kv::ReplicaId;
+using dvv::kv::Store;
+using dvv::kv::StoreConfig;
 using dvv::oracle::mirrored_run;
 using dvv::workload::WorkloadSpec;
 
-ClusterConfig config() {
-  ClusterConfig cfg;
+/// The geometry every test here shares; `mechanism` names the store
+/// (a Cluster<M> ignores it).
+StoreConfig config(std::string mechanism = {}) {
+  StoreConfig cfg;
+  cfg.mechanism = std::move(mechanism);
   cfg.servers = 6;
   cfg.replication = 3;
   cfg.vnodes = 16;
@@ -54,6 +62,26 @@ WorkloadSpec crashy(std::uint64_t seed) {
   return spec;
 }
 
+/// Every key: all preference replicas hold identical value sets.
+void expect_converged(const Store& store) {
+  for (ReplicaId s = 0; s < store.servers(); ++s) {
+    for (const auto& key : store.keys(s)) {
+      std::multiset<std::string> reference;
+      bool first = true;
+      for (const auto r : store.preference_list(key)) {
+        const auto held = store.values_at(r, key);
+        const std::multiset<std::string> values(held.begin(), held.end());
+        if (first) {
+          reference = values;
+          first = false;
+        } else {
+          ASSERT_EQ(values, reference) << "key " << key << " replica " << r;
+        }
+      }
+    }
+  }
+}
+
 class FailureSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FailureSeedSweep, TraceActuallyContainsFailures) {
@@ -69,7 +97,7 @@ TEST_P(FailureSeedSweep, TraceActuallyContainsFailures) {
 }
 
 TEST_P(FailureSeedSweep, DvvStaysExactThroughCrashes) {
-  const auto run = mirrored_run(crashy(GetParam()), config(), DvvMechanism{});
+  const auto run = mirrored_run(crashy(GetParam()), config("dvv"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
@@ -77,7 +105,7 @@ TEST_P(FailureSeedSweep, DvvStaysExactThroughCrashes) {
 }
 
 TEST_P(FailureSeedSweep, DvvSetStaysExactThroughCrashes) {
-  const auto run = mirrored_run(crashy(GetParam()), config(), DvvSetMechanism{});
+  const auto run = mirrored_run(crashy(GetParam()), config("dvvset"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
@@ -86,35 +114,13 @@ TEST_P(FailureSeedSweep, DvvSetStaysExactThroughCrashes) {
 TEST_P(FailureSeedSweep, RecoveryPlusAntiEntropyConverges) {
   const auto spec = crashy(GetParam());
   const auto trace = dvv::workload::generate_trace(spec, config().replication);
-  Cluster<DvvMechanism> cluster(config(), {});
-  dvv::workload::replay(cluster, trace);
+  const auto store = dvv::kv::make_store(config("dvv"));
+  dvv::workload::replay(*store, trace);
 
   // Bring everyone back and run one full repair round.
-  for (std::size_t s = 0; s < config().servers; ++s) {
-    cluster.replica(s).set_alive(true);
-  }
-  cluster.anti_entropy();
-
-  // Every key: all preference replicas hold identical value sets.
-  const auto& mech = cluster.mechanism();
-  for (std::size_t s = 0; s < config().servers; ++s) {
-    for (const auto& key : cluster.replica(s).keys()) {
-      std::multiset<std::string> reference;
-      bool first = true;
-      for (const auto r : cluster.preference_list(key)) {
-        std::multiset<std::string> values;
-        if (const auto* stored = cluster.replica(r).find(key)) {
-          for (auto& v : mech.values_of(*stored)) values.insert(v);
-        }
-        if (first) {
-          reference = values;
-          first = false;
-        } else {
-          ASSERT_EQ(values, reference) << "key " << key << " replica " << r;
-        }
-      }
-    }
-  }
+  for (ReplicaId s = 0; s < store->servers(); ++s) store->set_alive(s, true);
+  store->anti_entropy();
+  expect_converged(*store);
 }
 
 TEST_P(FailureSeedSweep, DvvStaysExactWithHintedHandoff) {
@@ -123,7 +129,7 @@ TEST_P(FailureSeedSweep, DvvStaysExactWithHintedHandoff) {
   // causality one bit.
   auto spec = crashy(GetParam());
   spec.hinted_handoff = true;
-  const auto run = mirrored_run(spec, config(), DvvMechanism{});
+  const auto run = mirrored_run(spec, config("dvv"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
@@ -138,15 +144,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FailureSeedSweep,
 // crash() — volatile state dropped — and how recover-then-AAE repairs
 // the rest from the peers.
 
-ClusterConfig wal_cluster(std::size_t flush_every) {
-  ClusterConfig cfg = config();
+StoreConfig wal_cluster(std::size_t flush_every, std::string mechanism = {}) {
+  StoreConfig cfg = config(std::move(mechanism));
   cfg.storage.kind = dvv::store::BackendKind::kWal;
   cfg.storage.wal.flush_every = flush_every;
   return cfg;
 }
 
 TEST(CrashMatrix, MemBackendCrashIsTotalLossUntilAaeRepairs) {
-  ClusterConfig mem_cfg = config();
+  StoreConfig mem_cfg = config();
   mem_cfg.storage.kind = dvv::store::BackendKind::kMem;  // pin: loss intended
   Cluster<DvvMechanism> cluster(mem_cfg, {});
   dvv::kv::ClientSession<DvvMechanism> alice(dvv::kv::client_actor(0), cluster);
@@ -242,34 +248,15 @@ TEST(CrashMatrix, RecoverThenAaeConvergesUnderChaoticCrashFaults) {
   spec.crash_faults = true;
   spec.hinted_handoff = true;
   const auto trace = dvv::workload::generate_trace(spec, config().replication);
-  Cluster<DvvMechanism> cluster(wal_cluster(/*flush_every=*/1), {});
-  dvv::workload::replay(cluster, trace);
+  const auto store = dvv::kv::make_store(wal_cluster(/*flush_every=*/1, "dvv"));
+  dvv::workload::replay(*store, trace);
 
-  for (std::size_t s = 0; s < config().servers; ++s) {
-    if (!cluster.replica(s).alive()) (void)cluster.recover(s);
+  for (ReplicaId s = 0; s < store->servers(); ++s) {
+    if (!store->alive(s)) (void)store->recover(s);
   }
-  cluster.deliver_hints();
-  cluster.anti_entropy();
-
-  const auto& mech = cluster.mechanism();
-  for (std::size_t s = 0; s < config().servers; ++s) {
-    for (const auto& key : cluster.replica(s).keys()) {
-      std::multiset<std::string> reference;
-      bool first = true;
-      for (const auto r : cluster.preference_list(key)) {
-        std::multiset<std::string> values;
-        if (const auto* stored = cluster.replica(r).find(key)) {
-          for (auto& v : mech.values_of(*stored)) values.insert(v);
-        }
-        if (first) {
-          reference = values;
-          first = false;
-        } else {
-          ASSERT_EQ(values, reference) << "key " << key << " replica " << r;
-        }
-      }
-    }
-  }
+  store->deliver_hints();
+  store->anti_entropy();
+  expect_converged(*store);
 }
 
 // Regression for crash-time dot reuse: a replica recovering from a
@@ -313,8 +300,7 @@ TEST(CrashMatrix, DvvStaysExactThroughWalCrashFaults) {
   for (const std::uint64_t seed : {11ULL, 59ULL}) {
     auto spec = crashy(seed);
     spec.crash_faults = true;
-    ClusterConfig cfg = wal_cluster(/*flush_every=*/1);
-    const auto run = mirrored_run(spec, cfg, DvvMechanism{});
+    const auto run = mirrored_run(spec, wal_cluster(/*flush_every=*/1, "dvv"));
     EXPECT_TRUE(run.report.exact())
         << "lost=" << run.report.lost_updates()
         << " false=" << run.report.false_siblings() << " seed=" << seed;

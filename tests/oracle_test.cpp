@@ -11,24 +11,28 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
-#include <tuple>
+#include <utility>
 
-#include "kv/mechanism.hpp"
+#include "codec/clock_codec.hpp"
+#include "kv/store.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
-using dvv::kv::ClientVvMechanism;
-using dvv::kv::ClusterConfig;
-using dvv::kv::DvvMechanism;
-using dvv::kv::DvvSetMechanism;
-using dvv::kv::ServerVvMechanism;
+using dvv::kv::ReplicaId;
+using dvv::kv::Store;
+using dvv::kv::StoreConfig;
 using dvv::oracle::mirrored_run;
 using dvv::workload::WorkloadSpec;
 
-ClusterConfig config() {
-  ClusterConfig cfg;
+/// The subject store: `mechanism` by name; `prune_cap` > 0 selects the
+/// pruned client-vv variant.
+StoreConfig config(std::string mechanism, std::size_t prune_cap = 0) {
+  StoreConfig cfg;
+  cfg.mechanism = std::move(mechanism);
+  cfg.prune_cap = prune_cap;
   cfg.servers = 6;
   cfg.replication = 3;
   cfg.vnodes = 16;
@@ -75,7 +79,7 @@ WorkloadSpec racy(std::uint64_t seed) {
 class OracleSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OracleSeedSweep, DvvIsExactEvenUnderPartialReplication) {
-  const auto run = mirrored_run(contentious(GetParam()), config(), DvvMechanism{});
+  const auto run = mirrored_run(contentious(GetParam()), config("dvv"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
@@ -83,16 +87,14 @@ TEST_P(OracleSeedSweep, DvvIsExactEvenUnderPartialReplication) {
 }
 
 TEST_P(OracleSeedSweep, DvvSetIsExactEvenUnderPartialReplication) {
-  const auto run =
-      mirrored_run(contentious(GetParam()), config(), DvvSetMechanism{});
+  const auto run = mirrored_run(contentious(GetParam()), config("dvvset"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
 }
 
 TEST_P(OracleSeedSweep, VveIsExactEvenUnderPartialReplication) {
-  const auto run =
-      mirrored_run(contentious(GetParam()), config(), dvv::kv::VveMechanism{});
+  const auto run = mirrored_run(contentious(GetParam()), config("vve"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
@@ -100,22 +102,21 @@ TEST_P(OracleSeedSweep, VveIsExactEvenUnderPartialReplication) {
 
 TEST_P(OracleSeedSweep, ClientVvIsExactUnderFullReplication) {
   const auto run =
-      mirrored_run(full_replication(GetParam()), config(), ClientVvMechanism{});
+      mirrored_run(full_replication(GetParam()), config("client-vv"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
 }
 
 TEST_P(OracleSeedSweep, ServerVvIsNotExactUnderRacingClients) {
-  const auto run = mirrored_run(racy(GetParam()), config(), ServerVvMechanism{});
+  const auto run = mirrored_run(racy(GetParam()), config("server-vv"));
   EXPECT_FALSE(run.report.exact())
       << "per-server VVs should mis-track racing client writes";
   EXPECT_GT(run.report.lost_updates(), 0u) << "Fig. 1b data loss at scale";
 }
 
 TEST_P(OracleSeedSweep, AggressivelyPrunedClientVvIsNotExact) {
-  const auto run =
-      mirrored_run(racy(GetParam()), config(), dvv::kv::pruned_client_vv(2));
+  const auto run = mirrored_run(racy(GetParam()), config("client-vv", 2));
   EXPECT_FALSE(run.report.exact())
       << "pruning to 2 entries under anonymous writers must break causality";
   EXPECT_GT(run.report.lost_updates() + run.report.false_siblings(), 0u);
@@ -135,8 +136,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OracleSeedSweep,
 TEST(OracleNegative, ClientVvReusesCountersUnderPartialReplication) {
   std::uint64_t inexact_seeds = 0;
   for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u, 55u, 89u}) {
-    const auto run =
-        mirrored_run(contentious(seed), config(), ClientVvMechanism{});
+    const auto run = mirrored_run(contentious(seed), config("client-vv"));
     if (!run.report.exact()) ++inexact_seeds;
   }
   EXPECT_GT(inexact_seeds, 0u)
@@ -146,52 +146,52 @@ TEST(OracleNegative, ClientVvReusesCountersUnderPartialReplication) {
 // ---- metadata bounds (the paper's size claim, asserted over real runs)
 
 TEST(OracleBounds, DvvClockEntriesBoundedByReplication) {
-  const auto cfg = config();
+  const auto cfg = config("dvv");
   for (const std::uint64_t seed : {7u, 77u, 777u}) {
-    auto run = mirrored_run(contentious(seed), cfg, DvvMechanism{});
-    const auto& mech = run.subject.mechanism();
-    for (std::size_t s = 0; s < cfg.servers; ++s) {
-      const auto& rep = run.subject.replica(s);
-      for (const auto& key : rep.keys()) {
-        const auto* stored = rep.find(key);
-        ASSERT_NE(stored, nullptr);
-        for (const auto& v : stored->versions()) {
+    const auto run = mirrored_run(contentious(seed), cfg);
+    const Store& store = *run.subject;
+    for (ReplicaId s = 0; s < cfg.servers; ++s) {
+      for (const auto& key : store.keys(s)) {
+        const auto bytes = store.encoded_state(s, key);
+        ASSERT_TRUE(bytes.has_value());
+        dvv::codec::Reader reader(std::as_bytes(std::span(*bytes)));
+        const auto stored = dvv::codec::decode_dvv_siblings(reader);
+        for (const auto& v : stored.versions()) {
           EXPECT_LE(v.clock.past().size(), cfg.replication)
               << "a DVV past wider than the preference list";
         }
         // Per-sibling cost: vector (<= R entries) + one dot.
-        EXPECT_LE(mech.clock_entries(*stored),
-                  mech.sibling_count(*stored) * (cfg.replication + 1));
+        const auto measured = store.key_stats(s, key);
+        EXPECT_LE(measured.clock_entries,
+                  measured.siblings * (cfg.replication + 1));
       }
     }
   }
 }
 
 TEST(OracleBounds, DvvSetEntriesBoundedByReplication) {
-  const auto cfg = config();
-  auto run = mirrored_run(contentious(7), cfg, DvvSetMechanism{});
-  for (std::size_t s = 0; s < cfg.servers; ++s) {
-    const auto& rep = run.subject.replica(s);
-    for (const auto& key : rep.keys()) {
-      const auto* stored = rep.find(key);
-      ASSERT_NE(stored, nullptr);
-      EXPECT_LE(stored->clock_entries(), cfg.replication)
+  const auto cfg = config("dvvset");
+  const auto run = mirrored_run(contentious(7), cfg);
+  for (ReplicaId s = 0; s < cfg.servers; ++s) {
+    for (const auto& key : run.subject->keys(s)) {
+      const auto measured = run.subject->key_stats(s, key);
+      ASSERT_TRUE(measured.found);
+      EXPECT_LE(measured.clock_entries, cfg.replication)
           << "one entry per coordinating server, at most R of them";
     }
   }
 }
 
 TEST(OracleBounds, ClientVvGrowsWithClientsDvvDoesNot) {
-  const auto cfg = config();
   auto few_spec = contentious(7);
   few_spec.clients = 4;
   auto many_spec = contentious(7);
   many_spec.clients = 64;
 
-  const auto dvv_few = mirrored_run(few_spec, cfg, DvvMechanism{});
-  const auto dvv_many = mirrored_run(many_spec, cfg, DvvMechanism{});
-  const auto cvv_few = mirrored_run(few_spec, cfg, ClientVvMechanism{});
-  const auto cvv_many = mirrored_run(many_spec, cfg, ClientVvMechanism{});
+  const auto dvv_few = mirrored_run(few_spec, config("dvv"));
+  const auto dvv_many = mirrored_run(many_spec, config("dvv"));
+  const auto cvv_few = mirrored_run(few_spec, config("client-vv"));
+  const auto cvv_many = mirrored_run(many_spec, config("client-vv"));
 
   const double dvv_growth =
       static_cast<double>(dvv_many.subject_stats.final_clock_entries) /
@@ -211,15 +211,14 @@ TEST(OracleBounds, UnfiredPruningIsExact) {
   spec.clients = 3;
   spec.read_before_write = 1.0;  // no anonymous writers: at most 3
                                  // entries ever, cap 64 never triggers
-  const auto run = mirrored_run(spec, config(), dvv::kv::pruned_client_vv(64));
+  const auto run = mirrored_run(spec, config("client-vv", 64));
   EXPECT_TRUE(run.report.exact());
 }
 
-// The truth cluster audited against itself is trivially exact — guards
+// The truth store audited against itself is trivially exact — guards
 // the audit plumbing against false positives.
 TEST(OracleBounds, OracleSelfAuditIsClean) {
-  const auto run =
-      mirrored_run(contentious(3), config(), dvv::kv::HistoryMechanism{});
+  const auto run = mirrored_run(contentious(3), config("causal-history"));
   EXPECT_TRUE(run.report.exact());
   EXPECT_GT(run.report.audits, 0u);
 }

@@ -7,18 +7,22 @@
 // of thousands of audited values make it visible.
 #include <gtest/gtest.h>
 
-#include "kv/mechanism.hpp"
+#include <string>
+#include <utility>
+
+#include "kv/store.hpp"
 #include "oracle/audit.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
-using dvv::kv::ClusterConfig;
+using dvv::kv::StoreConfig;
 using dvv::oracle::mirrored_run;
 using dvv::workload::WorkloadSpec;
 
-ClusterConfig config() {
-  ClusterConfig cfg;
+StoreConfig config(std::string mechanism) {
+  StoreConfig cfg;
+  cfg.mechanism = std::move(mechanism);
   cfg.servers = 8;
   cfg.replication = 3;
   cfg.vnodes = 32;
@@ -44,7 +48,7 @@ WorkloadSpec hostile() {
 
 TEST(Soak, DvvExactOverEightThousandHostileOperations) {
   auto spec = hostile();
-  const auto run = mirrored_run(spec, config(), dvv::kv::DvvMechanism{});
+  const auto run = mirrored_run(spec, config("dvv"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
@@ -55,20 +59,21 @@ TEST(Soak, DvvExactOverEightThousandHostileOperations) {
 }
 
 TEST(Soak, DvvSetExactOverEightThousandHostileOperations) {
-  const auto run = mirrored_run(hostile(), config(), dvv::kv::DvvSetMechanism{});
+  const auto run = mirrored_run(hostile(), config("dvvset"));
   EXPECT_TRUE(run.report.exact())
       << "lost=" << run.report.lost_updates()
       << " false=" << run.report.false_siblings();
 }
 
 TEST(Soak, MetadataStaysBoundedForTheWholeRun) {
-  const auto run = mirrored_run(hostile(), config(), dvv::kv::DvvMechanism{});
+  const auto cfg = config("dvv");
+  const auto run = mirrored_run(hostile(), cfg);
   // Every GET reply's clock-entry count stays bounded by
   // siblings * (R + 1); with the observed sibling levels this caps far
   // below the 32-client population.
   EXPECT_LE(run.subject_stats.get_clock_entries.max(),
             run.subject_stats.get_siblings.max() *
-                static_cast<double>(config().replication + 1));
+                static_cast<double>(cfg.replication + 1));
   // And the p99 metadata per reply stays small in absolute terms.
   EXPECT_LT(run.subject_stats.get_metadata_bytes.p99(), 256.0);
 }

@@ -221,5 +221,29 @@ TEST(ThreadedHammerTest, ConcurrentPutsConvergeAfterAntiEntropy) {
   }
 }
 
+/// Teardown with replication in flight: put_direct completes on the
+/// coordinator's local apply, so its fan-out to the rest of the
+/// preference list is still queued when the store is destroyed.  The
+/// transport must drain its workers before the replicas they deliver
+/// into are freed, and a delivery's onward send during that drain must
+/// not restart a worker over a joinable thread.
+TEST(ThreadedTeardownTest, DestroyWithReplicationInFlight) {
+  for (const std::size_t shards : {1u, 3u}) {
+    for (int lifetime = 0; lifetime < 3; ++lifetime) {
+      kv::StoreConfig config = threaded_config();
+      config.transport.threaded.shards = shards;
+      const std::unique_ptr<kv::Store> store = kv::make_store("dvv", config);
+      ASSERT_NE(store, nullptr);
+      for (int i = 0; i < 5000; ++i) {
+        const std::string key = std::to_string(i);
+        const kv::StorePutResult p =
+            store->put_direct(key, kv::client_actor(0), kv::CausalToken{}, key);
+        ASSERT_TRUE(p.ok()) << shards << " shards, put " << i;
+      }
+      // No pump_all: the store goes out of scope mid-replication.
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dvv

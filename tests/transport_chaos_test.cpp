@@ -26,6 +26,7 @@
 #include "codec/clock_codec.hpp"
 #include "kv/cluster.hpp"
 #include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "net/sim_transport.hpp"
 #include "net/transport.hpp"
 #include "oracle/audit.hpp"
@@ -38,6 +39,7 @@ using dvv::kv::Cluster;
 using dvv::kv::ClusterConfig;
 using dvv::kv::Key;
 using dvv::kv::ReplicaId;
+using dvv::kv::StoreConfig;
 using dvv::net::SimTransport;
 using dvv::util::Rng;
 
@@ -46,8 +48,11 @@ constexpr std::size_t kKeys = 24;
 constexpr std::size_t kClients = 5;
 constexpr std::size_t kOps = 500;
 
-ClusterConfig chaos_config(std::uint64_t seed) {
-  ClusterConfig cfg;
+/// The faulted geometry; `mechanism` names the store for the oracle
+/// runs (a Cluster<M> ignores it).
+StoreConfig chaos_config(std::uint64_t seed, std::string mechanism = {}) {
+  StoreConfig cfg;
+  cfg.mechanism = std::move(mechanism);
   cfg.servers = kServers;
   cfg.replication = 3;
   cfg.vnodes = 32;
@@ -255,23 +260,23 @@ TEST(TransportChaosOracle, DvvStaysExactAndServerVvLosesUpdates) {
   std::uint64_t server_vv_anomalies = 0;
   for (const std::uint64_t seed : {3ULL, 11ULL, 77ULL}) {
     const auto spec = chaos_spec(seed);
-    ClusterConfig cfg = chaos_config(seed);
-    cfg.transport.sim.auto_settle = true;  // lockstep replay settles per op
+    const auto run = [&](const char* mechanism) {
+      StoreConfig cfg = chaos_config(seed, mechanism);
+      cfg.transport.sim.auto_settle = true;  // lockstep replay settles per op
+      return dvv::oracle::mirrored_run(spec, cfg);
+    };
 
-    const auto dvv_run =
-        dvv::oracle::mirrored_run(spec, cfg, dvv::kv::DvvMechanism{});
+    const auto dvv_run = run("dvv");
     EXPECT_TRUE(dvv_run.report.exact())
         << "DVV must track causality exactly under partition/drop/dup/"
         << "reorder chaos (seed " << seed << "): lost "
         << dvv_run.report.lost_updates() << ", false "
         << dvv_run.report.false_siblings();
 
-    const auto dvvset_run =
-        dvv::oracle::mirrored_run(spec, cfg, dvv::kv::DvvSetMechanism{});
+    const auto dvvset_run = run("dvvset");
     EXPECT_TRUE(dvvset_run.report.exact()) << "seed " << seed;
 
-    const auto vv_run =
-        dvv::oracle::mirrored_run(spec, cfg, dvv::kv::ServerVvMechanism{});
+    const auto vv_run = run("server-vv");
     server_vv_anomalies += vv_run.report.lost_updates();
   }
   EXPECT_GT(server_vv_anomalies, 0u)

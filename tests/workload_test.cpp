@@ -5,15 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
-#include "kv/mechanism.hpp"
+#include "kv/store.hpp"
 #include "workload/replay.hpp"
 
 namespace {
 
-using dvv::kv::Cluster;
-using dvv::kv::ClusterConfig;
-using dvv::kv::DvvMechanism;
+using dvv::kv::ReplicaId;
+using dvv::kv::StoreConfig;
 using dvv::workload::generate_trace;
 using dvv::workload::Trace;
 using dvv::workload::TraceOp;
@@ -28,8 +28,9 @@ WorkloadSpec small_spec() {
   return spec;
 }
 
-ClusterConfig config() {
-  ClusterConfig cfg;
+StoreConfig config() {
+  StoreConfig cfg;
+  cfg.mechanism = "dvv";
   cfg.servers = 5;
   cfg.replication = 3;
   cfg.vnodes = 16;
@@ -153,8 +154,8 @@ TEST(Trace, RanksStayWithinReplication) {
 
 TEST(Replay, CountsMatchTrace) {
   const Trace t = generate_trace(small_spec(), config().replication);
-  Cluster<DvvMechanism> cluster(config(), {});
-  const auto stats = dvv::workload::replay(cluster, t);
+  const auto store = dvv::kv::make_store(config());
+  const auto stats = dvv::workload::replay(*store, t);
   std::size_t gets = 0, puts = 0;
   for (const auto& op : t.ops) {
     gets += op.kind == TraceOp::Kind::kGet;
@@ -169,10 +170,10 @@ TEST(Replay, CountsMatchTrace) {
 
 TEST(Replay, DeterministicAcrossRuns) {
   const Trace t = generate_trace(small_spec(), config().replication);
-  Cluster<DvvMechanism> c1(config(), {});
-  Cluster<DvvMechanism> c2(config(), {});
-  const auto s1 = dvv::workload::replay(c1, t);
-  const auto s2 = dvv::workload::replay(c2, t);
+  const auto c1 = dvv::kv::make_store(config());
+  const auto c2 = dvv::kv::make_store(config());
+  const auto s1 = dvv::workload::replay(*c1, t);
+  const auto s2 = dvv::workload::replay(*c2, t);
   EXPECT_EQ(s1.final_metadata_bytes, s2.final_metadata_bytes);
   EXPECT_EQ(s1.final_siblings, s2.final_siblings);
   EXPECT_EQ(s1.get_metadata_bytes.mean(), s2.get_metadata_bytes.mean());
@@ -182,21 +183,20 @@ TEST(Replay, FullReplicationNoAntiEntropyNeededForConvergence) {
   auto spec = small_spec();
   spec.replicate_probability = 1.0;
   const Trace t = generate_trace(spec, config().replication);
-  Cluster<DvvMechanism> cluster(config(), {});
-  dvv::workload::replay(cluster, t);
+  const auto store = dvv::kv::make_store(config());
+  dvv::workload::replay(*store, t);
 
   // Every key's preference-list replicas hold identical value sets.
-  const auto& mech = cluster.mechanism();
-  for (std::size_t s = 0; s < config().servers; ++s) {
-    for (const auto& key : cluster.replica(s).keys()) {
-      const auto pref = cluster.preference_list(key);
+  for (ReplicaId s = 0; s < config().servers; ++s) {
+    for (const auto& key : store->keys(s)) {
+      const auto pref = store->preference_list(key);
       std::multiset<std::string> reference;
       bool first = true;
       for (const auto r : pref) {
-        const auto* stored = cluster.replica(r).find(key);
-        ASSERT_NE(stored, nullptr) << "key " << key << " missing on " << r;
-        std::multiset<std::string> values;
-        for (auto& v : mech.values_of(*stored)) values.insert(v);
+        ASSERT_TRUE(store->key_stats(r, key).found)
+            << "key " << key << " missing on " << r;
+        const auto held = store->values_at(r, key);
+        const std::multiset<std::string> values(held.begin(), held.end());
         if (first) {
           reference = values;
           first = false;
