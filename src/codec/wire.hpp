@@ -36,6 +36,11 @@ class Writer {
   /// Length-prefixed byte string.
   void bytes(std::string_view data) {
     varint(data.size());
+    raw(data);
+  }
+
+  /// Already-encoded bytes, appended verbatim (no length prefix).
+  void raw(std::string_view data) {
     const auto* p = reinterpret_cast<const std::byte*>(data.data());
     bytes_.insert(bytes_.end(), p, p + data.size());
   }

@@ -120,7 +120,9 @@ class Cluster {
       replicas_.back().set_observer(&digest_index_);
     }
     wire_partitioner();
-    wire_transport();
+    threaded_ = dynamic_cast<net::ThreadedTransport*>(transport_.get());
+    transport_->set_sink(
+        [this](const net::Envelope& envelope) { on_message(envelope); });
     const std::size_t shard_count =
         threaded_ == nullptr ? 1 : threaded_->shards();
     shards_.reserve(shard_count);
@@ -130,56 +132,10 @@ class Cluster {
   }
 
   // Replicas hold a pointer to this cluster's digest index and the
-  // transport sink captures `this`, so moves must re-wire both and
-  // copies are disallowed.  Moves are control-plane: legal only at
-  // quiescence (no shard thread can be touching the moved-from state).
+  // transport sink and partitioner capture `this`: neither copyable nor
+  // movable.
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
-  Cluster(Cluster&& other) noexcept
-      : config_(std::move(other.config_)),
-        mechanism_(std::move(other.mechanism_)),
-        membership_(std::move(other.membership_)),
-        ring_(std::move(other.ring_)),
-        target_ring_(std::move(other.target_ring_)),
-        flipped_partitions_(std::move(other.flipped_partitions_)),
-        rebalance_(std::move(other.rebalance_)),
-        known_epoch_(std::move(other.known_epoch_)),
-        digest_index_(std::move(other.digest_index_)),
-        replicas_(std::move(other.replicas_)),
-        shards_(std::move(other.shards_)),
-        next_sync_nonce_(
-            other.next_sync_nonce_.load(std::memory_order_relaxed)),
-        repairs_shipped_total_(
-            other.repairs_shipped_total_.load(std::memory_order_relaxed)),
-        transport_(std::move(other.transport_)) {
-    for (auto& rep : replicas_) rep.set_observer(&digest_index_);
-    wire_partitioner();
-    wire_transport();
-  }
-  Cluster& operator=(Cluster&& other) noexcept {
-    config_ = std::move(other.config_);
-    mechanism_ = std::move(other.mechanism_);
-    membership_ = std::move(other.membership_);
-    ring_ = std::move(other.ring_);
-    target_ring_ = std::move(other.target_ring_);
-    flipped_partitions_ = std::move(other.flipped_partitions_);
-    rebalance_ = std::move(other.rebalance_);
-    known_epoch_ = std::move(other.known_epoch_);
-    digest_index_ = std::move(other.digest_index_);
-    transport_ = std::move(other.transport_);
-    replicas_ = std::move(other.replicas_);
-    shards_ = std::move(other.shards_);
-    next_sync_nonce_.store(
-        other.next_sync_nonce_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    repairs_shipped_total_.store(
-        other.repairs_shipped_total_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    for (auto& rep : replicas_) rep.set_observer(&digest_index_);
-    wire_partitioner();
-    wire_transport();
-    return *this;
-  }
 
   [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
   [[nodiscard]] const Ring& ring() const noexcept { return ring_; }
@@ -299,12 +255,11 @@ class Cluster {
   /// epoch's ring.  Identical to ring() when no transfer is running.
   [[nodiscard]] const Ring& routing_ring(const Key& key) const {
     if (!target_ring_.has_value()) return ring_;
-    // partition_of registers unseen partitions lazily and is therefore
-    // non-const; safe here because target_ring_ is only mutated inside
-    // a stopped world / at quiescence (see join_node), so no shard
-    // thread can race this registration.
-    auto& index = const_cast<sync::DigestIndex&>(digest_index_);
-    if (flipped_partitions_.contains(index.partition_of(key))) {
+    // Shard threads route concurrently, so this must not register the
+    // partition (partition_of would); a flipped partition is registered
+    // already.  target_ring_ is only mutated inside a stopped world / at
+    // quiescence (see join_node), so the read is settled.
+    if (flipped_partitions_.contains(digest_index_.partition_id(key))) {
       return *target_ring_;
     }
     return ring_;
@@ -1267,28 +1222,32 @@ class Cluster {
   /// inline (single-domain).  Membership transitions mutate routing
   /// state that shard threads read on every delivery; parking the world
   /// makes the transition a quiescent point no thread can observe
-  /// half-applied.  The latches outlive every parked closure because
-  /// quiesce() returns only after each closure's in-flight accounting
-  /// released — i.e. after the closure returned.
+  /// half-applied.  The world resumes without a drain: waiting for the
+  /// transport to go idle could starve forever under sustained client
+  /// load.  The parked closures share ownership of the latches, so
+  /// returning while one is still leaving release.wait() is safe.
   template <typename Fn>
   void with_world_stopped(Fn&& fn) {
     if (threaded_ == nullptr) {
       fn();
       return;
     }
+    struct Gate {
+      explicit Gate(std::ptrdiff_t shards) : parked(shards) {}
+      std::latch parked;
+      std::latch release{1};
+    };
     const std::size_t n = threaded_->shards();
-    std::latch parked(static_cast<std::ptrdiff_t>(n));
-    std::latch release(1);
+    const auto gate = std::make_shared<Gate>(static_cast<std::ptrdiff_t>(n));
     for (std::size_t s = 0; s < n; ++s) {
-      threaded_->post(s, [&parked, &release] {
-        parked.count_down();
-        release.wait();
+      threaded_->post(s, [gate] {
+        gate->parked.count_down();
+        gate->release.wait();
       });
     }
-    parked.wait();
+    gate->parked.wait();
     fn();
-    release.count_down();
-    threaded_->quiesce();
+    gate->release.count_down();
   }
 
   /// Installs freshly minted epoch `e`: target ring up, digest index
@@ -1503,12 +1462,6 @@ class Cluster {
     });
   }
 
-  void wire_transport() {
-    threaded_ = dynamic_cast<net::ThreadedTransport*>(transport_.get());
-    transport_->set_sink(
-        [this](const net::Envelope& envelope) { on_message(envelope); });
-  }
-
   void send_message(ReplicaId from, ReplicaId to, net::Message msg) {
     transport_->send(from, to, std::move(msg));
   }
@@ -1543,7 +1496,7 @@ class Cluster {
 
   /// Everything one shard thread mutates while applying deliveries for
   /// the replicas it owns.  Aligned out of false sharing with its
-  /// neighbors; heap-allocated so addresses survive cluster moves.
+  /// neighbors.
   struct alignas(64) ShardState {
     QuorumCoordinator<M> engine;  ///< requests coordinated by owned replicas
     DeliveryDrops drops;
@@ -1648,233 +1601,173 @@ class Cluster {
     }
   }
 
-  /// Delivery sink: routes each of the envelope's three forms into the
-  /// one alternative-typed applier.  A batch envelope applies its
-  /// sub-views in order — exactly the deliveries an unbatched pump
-  /// would have made; an owned message (inline transport) dispatches
-  /// directly on its own alternative — no intermediate MessageView is
-  /// built; the owned and viewed forms share one applier body because
-  /// their alternatives carry identical field names.
+  /// Delivery sink: applies the envelope's views in order — one
+  /// message, or a batch's sub-messages, exactly the deliveries an
+  /// unbatched pump would have made.
   void on_message(const net::Envelope& envelope) {
     // Every per-delivery mutation below lands in the DESTINATION
     // replica's shard state — with a threaded transport this sink runs
     // on that shard's thread, so nothing here needs a lock.
     ShardState& shard = shard_for(envelope.to);
-    if (!envelope.batch.empty()) {
-      for (const net::MessageView& sub : envelope.batch) {
-        apply_view(shard, envelope.from, envelope.to, sub, nullptr);
-      }
-      return;
-    }
-    if (envelope.view != nullptr) {
-      apply_view(shard, envelope.from, envelope.to, *envelope.view,
-                 static_cast<const Stored*>(envelope.decoded.get()));
-      return;
-    }
-    const net::Message& msg = *envelope.msg;
-    if (const auto* batch = std::get_if<net::BatchMsg>(&msg)) {
-      // An owned composite (a caller handed BatchMsg to the inline
-      // transport): expand it exactly as the sim expands a queued one.
-      for (const std::string& frame : batch->frames) {
-        std::optional<net::MessageView> sub = net::decode_frame_view(frame);
-        DVV_ASSERT_MSG(sub.has_value(), "kv: malformed sub-frame in owned batch");
-        apply_view(shard, envelope.from, envelope.to, *sub, nullptr);
-      }
-      return;
-    }
     const Stored* fast = static_cast<const Stored*>(envelope.decoded.get());
-    std::visit(
-        [&](const auto& m) {
-          apply_one(shard, envelope.from, envelope.to, m, fast);
-        },
-        msg);
+    for (const net::MessageView& view : envelope.views) {
+      std::visit(
+          [&](const auto& m) {
+            apply_one(shard, envelope.from, envelope.to, m, fast);
+          },
+          view);
+    }
   }
 
-  /// The viewed-form entry into the applier (SimTransport deliveries).
-  void apply_view(ShardState& shard, net::NodeId from, net::NodeId to,
-                  const net::MessageView& view, const Stored* fast) {
-    std::visit([&](const auto& m) { apply_one(shard, from, to, m, fast); },
-               view);
-  }
-
-  /// True when alternative T — owned message or non-owning view, the
-  /// two spellings of one wire type with identical field names — is
-  /// the given kind.
-  template <typename T, typename Msg, typename View>
-  static constexpr bool is_kind_v =
-      std::is_same_v<T, Msg> || std::is_same_v<T, View>;
-
-  /// Applies one delivered message alternative at its destination
-  /// replica.  `m` is either the owned alternative (inline transport —
-  /// std::string fields) or its non-owning view twin (SimTransport —
-  /// std::string_view fields over the received buffer); the body is
-  /// shared, so the two delivery forms cannot drift.  A destination
-  /// that is not alive receives nothing — the message is counted in
-  /// the destination shard's drops and gone (for hint deliveries that
-  /// is precisely why the holder keeps the hint until the ack).  State
-  /// payloads use the decoded fast path when the transport preserved it
-  /// (inline loopback) and decode the wire bytes when it did not —
-  /// bytes are copied out of a view only on adoption.
+  /// Applies one delivered message at its destination replica.  A
+  /// destination that is not alive receives nothing — the message is
+  /// counted in the destination shard's drops and gone (for hint
+  /// deliveries that is precisely why the holder keeps the hint until
+  /// the ack).  State payloads use the decoded fast path when the
+  /// transport preserved it (inline loopback) and decode the wire bytes
+  /// when it did not — bytes are copied out of a view only on adoption.
   template <typename T>
   void apply_one(ShardState& shard, net::NodeId from, net::NodeId to,
                  const T& m, const Stored* fast) {
     Replica<M>& dst = replicas_.at(to);
     if (!dst.alive()) {
-      if constexpr (is_kind_v<T, net::ReplicateMsg, net::ReplicateView> ||
-                    is_kind_v<T, net::CoordWriteReqMsg,
-                              net::CoordWriteReqView>) {
+      if constexpr (std::is_same_v<T, net::ReplicateView> ||
+                    std::is_same_v<T, net::CoordWriteReqView>) {
         ++shard.drops.replicate;  // a replica copy died with it
-      } else if constexpr (is_kind_v<T, net::HintMsg, net::HintView>) {
+      } else if constexpr (std::is_same_v<T, net::HintView>) {
         ++shard.drops.hint_stash;
-      } else if constexpr (is_kind_v<T, net::HintDeliverMsg,
-                                     net::HintDeliverView>) {
+      } else if constexpr (std::is_same_v<T, net::HintDeliverView>) {
         ++shard.drops.hint_deliver;
-      } else if constexpr (is_kind_v<T, net::HintAckMsg, net::HintAckView>) {
+      } else if constexpr (std::is_same_v<T, net::HintAckView>) {
         ++shard.drops.hint_ack;
-      } else if constexpr (is_kind_v<T, net::CoordReadReqMsg,
-                                     net::CoordReadReqView> ||
-                           is_kind_v<T, net::CoordReadRespMsg,
-                                     net::CoordReadRespView> ||
-                           is_kind_v<T, net::CoordWriteRespMsg,
-                                     net::CoordWriteRespView>) {
+      } else if constexpr (std::is_same_v<T, net::CoordReadReqView> ||
+                           std::is_same_v<T, net::CoordReadRespView> ||
+                           std::is_same_v<T, net::CoordWriteRespView>) {
         ++shard.drops.coord;  // the request machine rides it out
-      } else if constexpr (is_kind_v<T, net::JoinReqMsg, net::JoinReqView> ||
-                           is_kind_v<T, net::EpochAnnounceMsg,
-                                     net::EpochAnnounceView> ||
-                           is_kind_v<T, net::TransferDoneMsg,
-                                     net::TransferDoneView>) {
+      } else if constexpr (std::is_same_v<T, net::JoinReqView> ||
+                           std::is_same_v<T, net::EpochAnnounceView> ||
+                           std::is_same_v<T, net::TransferDoneView>) {
         ++shard.drops.membership;  // re-announced / retried by the next epoch
       } else {
         ++shard.drops.sync;
       }
       return;
     }
-    {
-      if constexpr (is_kind_v<T, net::ReplicateMsg, net::ReplicateView>) {
-            if (fast != nullptr) {
-              dst.merge_key_view(mechanism_, m.key, *fast);
+    if constexpr (std::is_same_v<T, net::ReplicateView>) {
+      if (fast != nullptr) {
+        dst.merge_key_view(mechanism_, m.key, *fast);
+      } else {
+        dst.merge_encoded(mechanism_, m.key, m.state);
+      }
+    } else if constexpr (std::is_same_v<T, net::HintView>) {
+      if (fast != nullptr) {
+        dst.stash_hint(mechanism_, m.owner, Key(m.key), *fast);
+      } else {
+        dst.stash_hint_encoded(mechanism_, m.owner, m.key, m.state);
+      }
+    } else if constexpr (std::is_same_v<T, net::HintDeliverView>) {
+      // The owner merges the parked write home and acks with the
+      // payload's digest so the holder can retire exactly this hint
+      // (and not a newer re-stash).
+      if (fast != nullptr) {
+        dst.merge_key_view(mechanism_, m.key, *fast);
+      } else {
+        dst.merge_encoded(mechanism_, m.key, m.state);
+      }
+      const std::uint64_t digest = sync::encoded_state_digest(m.state);
+      const net::Message& ack = net::fill_message<net::HintAckMsg>(
+          shard.slots.hint_ack, [&](auto& out) {
+            out.owner = m.owner;
+            out.key = m.key;
+            out.digest = digest;
+          });
+      transport_->send(to, from, net::borrow_message(ack), nullptr,
+                       net::wire_size_of(std::get<net::HintAckMsg>(ack)));
+    } else if constexpr (std::is_same_v<T, net::HintAckView>) {
+      (void)dst.drop_hint_if(m.owner, Key(m.key), m.digest);
+    } else if constexpr (std::is_same_v<T, net::CoordReadReqView>) {
+      // Serve the quorum read: answer with the local encoding of the
+      // key (found=false when this replica holds nothing).  The decoded
+      // alias rides along for zero-copy loopback — valid only for
+      // synchronous delivery, exactly the envelope contract.
+      const Stored* local = dst.find(m.key);
+      const net::Message& resp = net::fill_message<net::CoordReadRespMsg>(
+          shard.slots.read_resp, [&](auto& out) {
+            out.req = m.req;
+            out.found = local != nullptr;
+            if (local != nullptr) {
+              Replica<M>::encode_state_into(*local, out.state);
             } else {
-              dst.merge_encoded(mechanism_, m.key, m.state);
+              out.state.clear();
             }
-          } else if constexpr (is_kind_v<T, net::HintMsg, net::HintView>) {
-            if (fast != nullptr) {
-              dst.stash_hint(mechanism_, m.owner, Key(m.key), *fast);
-            } else {
-              dst.stash_hint_encoded(mechanism_, m.owner, m.key, m.state);
-            }
-          } else if constexpr (is_kind_v<T, net::HintDeliverMsg, net::HintDeliverView>) {
-            // The owner merges the parked write home and acks with the
-            // payload's digest so the holder can retire exactly this
-            // hint (and not a newer re-stash).
-            if (fast != nullptr) {
-              dst.merge_key_view(mechanism_, m.key, *fast);
-            } else {
-              dst.merge_encoded(mechanism_, m.key, m.state);
-            }
-            const std::uint64_t digest = sync::encoded_state_digest(m.state);
-            const net::Message& ack = net::fill_message<net::HintAckMsg>(
-                shard.slots.hint_ack, [&](auto& out) {
-                  out.owner = m.owner;
-                  out.key = m.key;
-                  out.digest = digest;
-                });
-            transport_->send(
-                to, from, net::borrow_message(ack), nullptr,
-                net::wire_size_of(std::get<net::HintAckMsg>(ack)));
-          } else if constexpr (is_kind_v<T, net::HintAckMsg, net::HintAckView>) {
-            (void)dst.drop_hint_if(m.owner, Key(m.key), m.digest);
-          } else if constexpr (is_kind_v<T, net::CoordReadReqMsg, net::CoordReadReqView>) {
-            // Serve the quorum read: answer with the local encoding of
-            // the key (found=false when this replica holds nothing).
-            // The decoded alias rides along for zero-copy loopback —
-            // valid only for synchronous delivery, exactly the
-            // envelope contract.
-            const Stored* local = dst.find(m.key);
-            const net::Message& resp =
-                net::fill_message<net::CoordReadRespMsg>(
-                    shard.slots.read_resp, [&](auto& out) {
-                      out.req = m.req;
-                      out.found = local != nullptr;
-                      if (local != nullptr) {
-                        Replica<M>::encode_state_into(*local, out.state);
-                      } else {
-                        out.state.clear();
-                      }
-                    });
-            transport_->send(
-                to, from, net::borrow_message(resp),
-                std::shared_ptr<const void>(std::shared_ptr<const void>{},
-                                            local),
-                net::wire_size_of(std::get<net::CoordReadRespMsg>(resp)));
-          } else if constexpr (is_kind_v<T, net::CoordReadRespMsg, net::CoordReadRespView>) {
-            // A quorum-read reply lands at its coordinator: the engine
-            // counts it toward the quorum (or drops it as late,
-            // duplicate or stale — reply hygiene lives there).
-            bool done;
-            if (!m.found) {
-              done = shard.engine.on_read_reply(m.req, from, nullptr, mechanism_);
-            } else if (fast != nullptr) {
-              done = shard.engine.on_read_reply(m.req, from, fast, mechanism_);
-            } else {
-              const Stored remote = Replica<M>::decode_state(m.state);
-              done = shard.engine.on_read_reply(m.req, from, &remote, mechanism_);
-            }
-            if (done) maybe_read_repair(shard.engine, m.req);
-          } else if constexpr (is_kind_v<T, net::CoordWriteReqMsg, net::CoordWriteReqView>) {
-            // Replicate-with-ack: merge exactly as a ReplicateMsg
-            // would, then acknowledge so the coordinator can count this
-            // replica toward the write quorum.
-            if (fast != nullptr) {
-              dst.merge_key_view(mechanism_, m.key, *fast);
-            } else {
-              dst.merge_encoded(mechanism_, m.key, m.state);
-            }
-            const net::Message& ack = net::fill_message<net::CoordWriteRespMsg>(
-                shard.slots.write_resp, [&](auto& out) { out.req = m.req; });
-            transport_->send(
-                to, from, net::borrow_message(ack), nullptr,
-                net::wire_size_of(std::get<net::CoordWriteRespMsg>(ack)));
-          } else if constexpr (is_kind_v<T, net::CoordWriteRespMsg, net::CoordWriteRespView>) {
-            (void)shard.engine.on_write_ack(m.req, from);
-          } else if constexpr (is_kind_v<T, net::SyncReqMsg, net::SyncReqView>) {
-            run_sync_session(from, to, m.nonce);
-          } else if constexpr (is_kind_v<T, net::JoinReqMsg, net::JoinReqView>) {
-            // A member admits the join on the requester's behalf.  The
-            // threaded cluster admits joins through the admin path
-            // instead (a shard thread cannot stop the world it runs
-            // on); a duplicate or out-of-capacity request is ignored.
-            if (threaded_ == nullptr && m.node < replicas_.size() &&
-                !membership_.is_member(static_cast<ReplicaId>(m.node)) &&
-                replicas_.at(m.node).alive()) {
-              join_node(static_cast<ReplicaId>(m.node));
-            }
-          } else if constexpr (is_kind_v<T, net::EpochAnnounceMsg,
-                                         net::EpochAnnounceView>) {
-            known_epoch_[to] = std::max(known_epoch_[to],
-                                        static_cast<std::uint64_t>(m.epoch));
-          } else if constexpr (is_kind_v<T, net::TransferDoneMsg,
-                                         net::TransferDoneView>) {
-            // Accounting/visibility only — a completed transfer implies
-            // its target epoch is live somewhere.
-            known_epoch_[to] = std::max(known_epoch_[to],
-                                        static_cast<std::uint64_t>(m.epoch));
-          } else if constexpr (is_kind_v<T, net::BatchMsg, net::BatchView>) {
-            // Batches are expanded before dispatch (on_message, and the
-            // transports themselves) — one can never reach the applier.
-            DVV_ASSERT_MSG(false, "kv: unexpanded batch view in apply_view");
-          } else {
-            static_assert(is_kind_v<T, net::SyncRespMsg, net::SyncRespView>);
-            CompletedSync cs;
-            cs.initiator = to;
-            cs.responder = from;
-            cs.nonce = m.nonce;
-            cs.stats.rounds = static_cast<std::size_t>(m.rounds);
-            cs.stats.nodes_exchanged = static_cast<std::size_t>(m.nodes_exchanged);
-            cs.stats.keys_compared = static_cast<std::size_t>(m.keys_compared);
-            cs.stats.keys_shipped = static_cast<std::size_t>(m.keys_shipped);
-            cs.stats.wire_bytes = static_cast<std::size_t>(m.wire_bytes);
-            shard.completed_syncs.push_back(std::move(cs));
-          }
+          });
+      transport_->send(
+          to, from, net::borrow_message(resp),
+          std::shared_ptr<const void>(std::shared_ptr<const void>{}, local),
+          net::wire_size_of(std::get<net::CoordReadRespMsg>(resp)));
+    } else if constexpr (std::is_same_v<T, net::CoordReadRespView>) {
+      // A quorum-read reply lands at its coordinator: the engine counts
+      // it toward the quorum (or drops it as late, duplicate or stale —
+      // reply hygiene lives there).
+      bool done;
+      if (!m.found) {
+        done = shard.engine.on_read_reply(m.req, from, nullptr, mechanism_);
+      } else if (fast != nullptr) {
+        done = shard.engine.on_read_reply(m.req, from, fast, mechanism_);
+      } else {
+        const Stored remote = Replica<M>::decode_state(m.state);
+        done = shard.engine.on_read_reply(m.req, from, &remote, mechanism_);
+      }
+      if (done) maybe_read_repair(shard.engine, m.req);
+    } else if constexpr (std::is_same_v<T, net::CoordWriteReqView>) {
+      // Replicate-with-ack: merge exactly as a ReplicateMsg would, then
+      // acknowledge so the coordinator can count this replica toward
+      // the write quorum.
+      if (fast != nullptr) {
+        dst.merge_key_view(mechanism_, m.key, *fast);
+      } else {
+        dst.merge_encoded(mechanism_, m.key, m.state);
+      }
+      const net::Message& ack = net::fill_message<net::CoordWriteRespMsg>(
+          shard.slots.write_resp, [&](auto& out) { out.req = m.req; });
+      transport_->send(
+          to, from, net::borrow_message(ack), nullptr,
+          net::wire_size_of(std::get<net::CoordWriteRespMsg>(ack)));
+    } else if constexpr (std::is_same_v<T, net::CoordWriteRespView>) {
+      (void)shard.engine.on_write_ack(m.req, from);
+    } else if constexpr (std::is_same_v<T, net::SyncReqView>) {
+      run_sync_session(from, to, m.nonce);
+    } else if constexpr (std::is_same_v<T, net::JoinReqView>) {
+      // A member admits the join on the requester's behalf.  The
+      // threaded cluster admits joins through the admin path instead (a
+      // shard thread cannot stop the world it runs on); a duplicate or
+      // out-of-capacity request is ignored.
+      if (threaded_ == nullptr && m.node < replicas_.size() &&
+          !membership_.is_member(static_cast<ReplicaId>(m.node)) &&
+          replicas_.at(m.node).alive()) {
+        join_node(static_cast<ReplicaId>(m.node));
+      }
+    } else if constexpr (std::is_same_v<T, net::EpochAnnounceView> ||
+                         std::is_same_v<T, net::TransferDoneView>) {
+      // A TransferDone is accounting/visibility only — a completed
+      // transfer implies its target epoch is live somewhere.
+      known_epoch_[to] = std::max(known_epoch_[to], m.epoch);
+    } else if constexpr (std::is_same_v<T, net::BatchView>) {
+      // Transports deliver a batch as its sub-views; one can never
+      // reach the applier.
+      DVV_ASSERT_MSG(false, "kv: unexpanded batch view in apply_one");
+    } else {
+      static_assert(std::is_same_v<T, net::SyncRespView>);
+      CompletedSync cs;
+      cs.initiator = to;
+      cs.responder = from;
+      cs.nonce = m.nonce;
+      cs.stats.rounds = static_cast<std::size_t>(m.rounds);
+      cs.stats.nodes_exchanged = static_cast<std::size_t>(m.nodes_exchanged);
+      cs.stats.keys_compared = static_cast<std::size_t>(m.keys_compared);
+      cs.stats.keys_shipped = static_cast<std::size_t>(m.keys_shipped);
+      cs.stats.wire_bytes = static_cast<std::size_t>(m.wire_bytes);
+      shard.completed_syncs.push_back(std::move(cs));
     }
   }
 
@@ -2057,7 +1950,7 @@ class Cluster {
   /// in which case it matches the transport's shard count and each
   /// state is touched only from its owning shard thread.
   std::vector<std::unique_ptr<ShardState>> shards_;
-  /// Set by wire_transport when the transport is threaded — the routing
+  /// Set at construction when the transport is threaded — the routing
   /// helpers key off it; null means single-domain (inline / sim).
   net::ThreadedTransport* threaded_ = nullptr;
   /// Atomic: request_sync may be scattered from several shard threads

@@ -3,13 +3,13 @@
 // Typed wire messages for the replication data plane.
 //
 // Everything that crosses between replicas — put fan-out, hinted
-// handoff, hint delivery and its ack, anti-entropy session initiation —
-// is one of these message types, serialized through the same codec the
-// clock encodings use (codec/wire.hpp).  The transport layer
-// (net/transport.hpp) carries only the encoded bytes, so wire-byte
-// metering is the size of real encodings, not a modelled estimate, and
-// a fault injector can drop/duplicate/reorder messages without knowing
-// what they mean.
+// handoff, hint delivery and its ack, anti-entropy session initiation,
+// quorum coordination, membership — is one of these frames, serialized
+// through the same codec the clock encodings use (codec/wire.hpp).  The
+// transport layer (net/transport.hpp) carries only the encoded bytes,
+// so wire-byte metering is the size of real encodings, not a modelled
+// estimate, and a fault injector can drop/duplicate/reorder messages
+// without knowing what they mean.
 //
 // Mechanism independence: the sibling-state payloads are carried as the
 // key's full codec encoding (the same bytes Replica persists and ships
@@ -17,26 +17,42 @@
 // never decodes a clock — which is what keeps one transport serving all
 // six causality mechanisms.
 //
-// The hot message path adds three throughput layers on top of the
-// typed messages (see README "Message path"):
+// One definition per frame.  Each frame is a template over its
+// byte-field type whose fields(m) ties its wire fields, once and in
+// wire order; it exists in two forms:
+//
+//   * Message (Bytes = std::string) — the owned form senders fill;
+//   * MessageView (Bytes = std::string_view) — the non-owning form every
+//     transport delivers: byte fields alias the received buffer (or the
+//     sender's message, on the inline loopback), and the kv layer copies
+//     bytes only on adoption.
+//
+// XMsg and XView name the two forms of frame X.  encode, the strict
+// decoder, wire_size_of, materialize and as_view are walks over the
+// field list, so a layout cannot drift between them; only the
+// EpochAnnounce member list and the Batch frame list have hand-written
+// field codecs.
+//
+// The hot message path adds two throughput layers (see README "Message
+// path"):
 //
 //   * BatchMsg — a composite frame coalescing several same-destination
 //     messages under one header, assembled by SimTransport at delivery
 //     time and strict-decoded like every other frame;
-//   * MessageView — a non-owning mirror of Message whose string fields
-//     are views into the received buffer; the delivery path decodes
-//     into views and the kv layer copies bytes only on adoption;
 //   * net pools — recycled Message objects, encode buffers and a
 //     freelist arena for shared_ptr control blocks, so the steady
 //     state allocates nothing per op.  Pool MISSES are observable as
 //     the net.alloc.* counters.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -51,57 +67,99 @@ namespace dvv::net {
 
 using NodeId = core::ActorId;
 
+/// A variable-length field of a decoded frame: `count` elements whose
+/// encodings are `bytes`, a view into the received buffer.  The strict
+/// decoder has validated every element.
+struct WireRegion {
+  std::uint64_t count = 0;
+  std::string_view bytes;
+};
+/// A decoded EpochAnnounce member list: strictly ascending id varints.
+struct MemberRegion : WireRegion {};
+/// A decoded Batch frame list: length-prefixed non-batch sub-frames.
+struct FrameRegion : WireRegion {};
+
+namespace detail {
+template <typename Bytes>
+inline constexpr bool kOwned = std::is_same_v<Bytes, std::string>;
+}  // namespace detail
+
+/// An epoch's member ids: owned (strictly ascending) or decoded.
+template <typename Bytes>
+using MemberList = std::conditional_t<detail::kOwned<Bytes>,
+                                      std::vector<NodeId>, MemberRegion>;
+
+/// A batch's sub-frame encodings: owned or decoded.
+template <typename Bytes>
+using FrameList = std::conditional_t<detail::kOwned<Bytes>,
+                                     std::vector<std::string>, FrameRegion>;
+
 /// Put replication fan-out: merge `state` (the coordinator's post-write
 /// encoding of `key`) into the destination replica.
-struct ReplicateMsg {
-  std::string key;
-  std::string state;  ///< codec encoding of the coordinator's Stored
+template <typename Bytes>
+struct Replicate {
+  Bytes key;
+  Bytes state;  ///< codec encoding of the coordinator's Stored
+  static auto fields(auto& m) { return std::tie(m.key, m.state); }
 };
 
 /// Hinted handoff stash: park `state` on the destination (a fallback
 /// server outside the preference list) on behalf of dead `owner`.
-struct HintMsg {
+template <typename Bytes>
+struct Hint {
   NodeId owner = 0;
-  std::string key;
-  std::string state;
+  Bytes key;
+  Bytes state;
+  static auto fields(auto& m) { return std::tie(m.owner, m.key, m.state); }
 };
 
 /// Hint delivery: a fallback holder pushes a parked write home to its
 /// recovered `owner` (the destination).  The holder keeps the hint
 /// parked until the ack comes back — a delivery lost in flight is
 /// retried by the next deliver_hints round, never silently dropped.
-struct HintDeliverMsg {
+template <typename Bytes>
+struct HintDeliver {
   NodeId owner = 0;
-  std::string key;
-  std::string state;
+  Bytes key;
+  Bytes state;
+  static auto fields(auto& m) { return std::tie(m.owner, m.key, m.state); }
 };
 
 /// Acknowledges a HintDeliverMsg.  `digest` is the state digest the
 /// owner merged; the holder drops its parked hint only if the parked
 /// bytes still match, so an ack that raced a newer re-stash of the same
 /// (owner, key) cannot erase the newer write.
-struct HintAckMsg {
+template <typename Bytes>
+struct HintAck {
   NodeId owner = 0;
-  std::string key;
+  Bytes key;
   std::uint64_t digest = 0;
+  static auto fields(auto& m) { return std::tie(m.owner, m.key, m.digest); }
 };
 
 /// Asks the destination to run one digest-based anti-entropy session
 /// with the sender (sync/anti_entropy.hpp).  `nonce` pairs the eventual
 /// SyncRespMsg with the request at the initiator.
-struct SyncReqMsg {
+template <typename Bytes>
+struct SyncReq {
   std::uint64_t nonce = 0;
+  static auto fields(auto& m) { return std::tie(m.nonce); }
 };
 
 /// Reports a completed session's stats back to the initiator (the
 /// fields of sync::SyncStats, flattened for the wire).
-struct SyncRespMsg {
+template <typename Bytes>
+struct SyncResp {
   std::uint64_t nonce = 0;
   std::uint64_t rounds = 0;
   std::uint64_t nodes_exchanged = 0;
   std::uint64_t keys_compared = 0;
   std::uint64_t keys_shipped = 0;
   std::uint64_t wire_bytes = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.nonce, m.rounds, m.nodes_exchanged, m.keys_compared,
+                    m.keys_shipped, m.wire_bytes);
+  }
 };
 
 // ---- quorum coordination (kv/coordinator.hpp) ------------------------------
@@ -115,31 +173,39 @@ struct SyncRespMsg {
 
 /// Quorum-read scatter: asks the destination for its local state of
 /// `key` (answered with a CoordReadRespMsg carrying the same `req`).
-struct CoordReadReqMsg {
+template <typename Bytes>
+struct CoordReadReq {
   std::uint64_t req = 0;
-  std::string key;
+  Bytes key;
+  static auto fields(auto& m) { return std::tie(m.req, m.key); }
 };
 
 /// Quorum-read reply: the responder's full codec encoding of the key's
 /// state (`found` false and empty `state` when it holds nothing).
-struct CoordReadRespMsg {
+template <typename Bytes>
+struct CoordReadResp {
   std::uint64_t req = 0;
   bool found = false;
-  std::string state;
+  Bytes state;
+  static auto fields(auto& m) { return std::tie(m.req, m.found, m.state); }
 };
 
 /// Quorum-write fan-out: merge `state` (the coordinator's post-write
 /// encoding of `key`) into the destination — a ReplicateMsg that asks
 /// for an ack.
-struct CoordWriteReqMsg {
+template <typename Bytes>
+struct CoordWriteReq {
   std::uint64_t req = 0;
-  std::string key;
-  std::string state;
+  Bytes key;
+  Bytes state;
+  static auto fields(auto& m) { return std::tie(m.req, m.key, m.state); }
 };
 
 /// Acknowledges a CoordWriteReqMsg: the destination applied the merge.
-struct CoordWriteRespMsg {
+template <typename Bytes>
+struct CoordWriteResp {
   std::uint64_t req = 0;
+  static auto fields(auto& m) { return std::tie(m.req); }
 };
 
 // ---- elastic membership (src/membership, kv/cluster.hpp) -------------------
@@ -154,28 +220,37 @@ struct CoordWriteRespMsg {
 /// Asks the destination (a current member) to admit `node` into the
 /// ring: the receiving member drives the join through its
 /// MembershipTable and answers with an EpochAnnounceMsg broadcast.
-struct JoinReqMsg {
+template <typename Bytes>
+struct JoinReq {
   NodeId node = 0;
+  static auto fields(auto& m) { return std::tie(m.node); }
 };
 
 /// Disseminates one minted ring epoch: the epoch number and the full
 /// member list it routes over.  `members` is canonical — strictly
 /// ascending (sorted, distinct) — and the strict decoder rejects any
 /// other order, so a frame cannot smuggle two rings that hash alike.
-struct EpochAnnounceMsg {
+template <typename Bytes>
+struct EpochAnnounce {
   std::uint64_t epoch = 0;
-  std::vector<NodeId> members;  ///< strictly ascending
+  MemberList<Bytes> members;  ///< strictly ascending
+  static auto fields(auto& m) { return std::tie(m.epoch, m.members); }
 };
 
 /// Announces that `owner` finished syncing claimed `partition` for
 /// `epoch` (its task reached kOwned): the transfer effort rides along
 /// for membership.* accounting at every peer.
-struct TransferDoneMsg {
+template <typename Bytes>
+struct TransferDone {
   std::uint64_t epoch = 0;
   std::uint64_t partition = 0;
   NodeId owner = 0;
   std::uint64_t keys_shipped = 0;
   std::uint64_t wire_bytes = 0;
+  static auto fields(auto& m) {
+    return std::tie(m.epoch, m.partition, m.owner, m.keys_shipped,
+                    m.wire_bytes);
+  }
 };
 
 /// Composite frame: `count` sub-messages for one destination under one
@@ -186,15 +261,53 @@ struct TransferDoneMsg {
 /// every sub-frame before the batch is accepted, and rejects empty
 /// batches, nested batches, sub-frames with trailing bytes, and counts
 /// the input cannot hold.
-struct BatchMsg {
-  std::vector<std::string> frames;  ///< each: full encoding of one sub-message
+template <typename Bytes>
+struct Batch {
+  FrameList<Bytes> frames;  ///< each: full encoding of one sub-message
+  static auto fields(auto& m) { return std::tie(m.frames); }
 };
 
-using Message = std::variant<ReplicateMsg, HintMsg, HintDeliverMsg, HintAckMsg,
-                             SyncReqMsg, SyncRespMsg, CoordReadReqMsg,
-                             CoordReadRespMsg, CoordWriteReqMsg, CoordWriteRespMsg,
-                             JoinReqMsg, EpochAnnounceMsg, TransferDoneMsg,
-                             BatchMsg>;
+/// The frame set over one byte-field type.  An alternative's index is
+/// its wire tag.
+template <typename Bytes>
+using MessageOf =
+    std::variant<Replicate<Bytes>, Hint<Bytes>, HintDeliver<Bytes>,
+                 HintAck<Bytes>, SyncReq<Bytes>, SyncResp<Bytes>,
+                 CoordReadReq<Bytes>, CoordReadResp<Bytes>,
+                 CoordWriteReq<Bytes>, CoordWriteResp<Bytes>, JoinReq<Bytes>,
+                 EpochAnnounce<Bytes>, TransferDone<Bytes>, Batch<Bytes>>;
+
+using Message = MessageOf<std::string>;
+using MessageView = MessageOf<std::string_view>;
+
+using ReplicateMsg = Replicate<std::string>;
+using ReplicateView = Replicate<std::string_view>;
+using HintMsg = Hint<std::string>;
+using HintView = Hint<std::string_view>;
+using HintDeliverMsg = HintDeliver<std::string>;
+using HintDeliverView = HintDeliver<std::string_view>;
+using HintAckMsg = HintAck<std::string>;
+using HintAckView = HintAck<std::string_view>;
+using SyncReqMsg = SyncReq<std::string>;
+using SyncReqView = SyncReq<std::string_view>;
+using SyncRespMsg = SyncResp<std::string>;
+using SyncRespView = SyncResp<std::string_view>;
+using CoordReadReqMsg = CoordReadReq<std::string>;
+using CoordReadReqView = CoordReadReq<std::string_view>;
+using CoordReadRespMsg = CoordReadResp<std::string>;
+using CoordReadRespView = CoordReadResp<std::string_view>;
+using CoordWriteReqMsg = CoordWriteReq<std::string>;
+using CoordWriteReqView = CoordWriteReq<std::string_view>;
+using CoordWriteRespMsg = CoordWriteResp<std::string>;
+using CoordWriteRespView = CoordWriteResp<std::string_view>;
+using JoinReqMsg = JoinReq<std::string>;
+using JoinReqView = JoinReq<std::string_view>;
+using EpochAnnounceMsg = EpochAnnounce<std::string>;
+using EpochAnnounceView = EpochAnnounce<std::string_view>;
+using TransferDoneMsg = TransferDone<std::string>;
+using TransferDoneView = TransferDone<std::string_view>;
+using BatchMsg = Batch<std::string>;
+using BatchView = Batch<std::string_view>;
 
 // The obs catalog's per-message-type counter axes (sent, delivered,
 // decode_reject) must track the Message variant exactly; obs cannot
@@ -202,183 +315,181 @@ using Message = std::variant<ReplicateMsg, HintMsg, HintDeliverMsg, HintAckMsg,
 static_assert(std::variant_size_v<Message> == obs::kMessageTypes,
               "net: Message variant and obs::kMessageTypeNames diverged");
 
-// ---- zero-copy views -------------------------------------------------------
-//
-// MessageView mirrors Message alternative-for-alternative (same order,
-// so view.index() == message.index()), with every string field a
-// std::string_view into the buffer it was decoded from.  The delivery
-// path decodes received frames into views; owned bytes materialize
-// only where the kv layer adopts them (replica merge, hint stash).
+namespace detail {
 
-struct ReplicateView {
-  std::string_view key;
-  std::string_view state;
-};
-struct HintView {
-  NodeId owner = 0;
-  std::string_view key;
-  std::string_view state;
-};
-struct HintDeliverView {
-  NodeId owner = 0;
-  std::string_view key;
-  std::string_view state;
-};
-struct HintAckView {
-  NodeId owner = 0;
-  std::string_view key;
-  std::uint64_t digest = 0;
-};
-struct SyncReqView {
-  std::uint64_t nonce = 0;
-};
-struct SyncRespView {
-  std::uint64_t nonce = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t nodes_exchanged = 0;
-  std::uint64_t keys_compared = 0;
-  std::uint64_t keys_shipped = 0;
-  std::uint64_t wire_bytes = 0;
-};
-struct CoordReadReqView {
-  std::uint64_t req = 0;
-  std::string_view key;
-};
-struct CoordReadRespView {
-  std::uint64_t req = 0;
-  bool found = false;
-  std::string_view state;
-};
-struct CoordWriteReqView {
-  std::uint64_t req = 0;
-  std::string_view key;
-  std::string_view state;
-};
-struct CoordWriteRespView {
-  std::uint64_t req = 0;
-};
-struct JoinReqView {
-  NodeId node = 0;
-};
-/// `members` is the raw strictly-ascending varint region (already
-/// validated when this view came out of the strict decoder).
-struct EpochAnnounceView {
-  std::uint64_t epoch = 0;
-  std::uint64_t count = 0;
-  std::string_view members;
-};
-struct TransferDoneView {
-  std::uint64_t epoch = 0;
-  std::uint64_t partition = 0;
-  NodeId owner = 0;
-  std::uint64_t keys_shipped = 0;
-  std::uint64_t wire_bytes = 0;
-};
-/// `frames` is the raw length-prefixed sub-frame region (already
-/// validated when this view came out of the strict decoder).
-struct BatchView {
-  std::uint64_t count = 0;
-  std::string_view frames;
-};
+template <typename T, typename... Ts>
+[[nodiscard]] constexpr std::size_t variant_index_of(
+    const std::variant<Ts...>*) {
+  constexpr bool matches[] = {std::is_same_v<T, Ts>...};
+  for (std::size_t i = 0; i < sizeof...(Ts); ++i) {
+    if (matches[i]) return i;
+  }
+  return std::variant_npos;
+}
 
-using MessageView =
-    std::variant<ReplicateView, HintView, HintDeliverView, HintAckView,
-                 SyncReqView, SyncRespView, CoordReadReqView, CoordReadRespView,
-                 CoordWriteReqView, CoordWriteRespView, JoinReqView,
-                 EpochAnnounceView, TransferDoneView, BatchView>;
+}  // namespace detail
 
-static_assert(std::variant_size_v<MessageView> == std::variant_size_v<Message>,
-              "net: MessageView and Message variants diverged");
+/// Frame `T`'s wire tag (its index in Message, or in MessageView for a
+/// view), at compile time; variant_npos when T is not a frame.
+template <typename T>
+inline constexpr std::size_t kMessageTagOf =
+    detail::variant_index_of<T>(static_cast<const Message*>(nullptr)) !=
+            std::variant_npos
+        ? detail::variant_index_of<T>(static_cast<const Message*>(nullptr))
+        : detail::variant_index_of<T>(static_cast<const MessageView*>(nullptr));
+
+/// One frame alternative, owned or view.
+template <typename T>
+concept Frame = kMessageTagOf<T> != std::variant_npos;
+
+inline constexpr std::size_t kEpochAnnounceTag =
+    kMessageTagOf<EpochAnnounceMsg>;
+inline constexpr std::size_t kBatchTag = kMessageTagOf<BatchMsg>;
 
 // ---- codec -----------------------------------------------------------------
 //
-// One-byte type tag (the variant index as a varint), then the fields in
-// declaration order.  Strings are length-prefixed; ids and digests are
-// varints — the exact framing the clock codecs use.
-
-inline void encode(codec::Writer& w, const Message& msg) {
-  w.varint(msg.index());
-  std::visit(
-      [&w](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ReplicateMsg>) {
-          w.bytes(m.key);
-          w.bytes(m.state);
-        } else if constexpr (std::is_same_v<T, HintMsg> ||
-                             std::is_same_v<T, HintDeliverMsg>) {
-          w.varint(m.owner);
-          w.bytes(m.key);
-          w.bytes(m.state);
-        } else if constexpr (std::is_same_v<T, HintAckMsg>) {
-          w.varint(m.owner);
-          w.bytes(m.key);
-          w.varint(m.digest);
-        } else if constexpr (std::is_same_v<T, SyncReqMsg>) {
-          w.varint(m.nonce);
-        } else if constexpr (std::is_same_v<T, SyncRespMsg>) {
-          w.varint(m.nonce);
-          w.varint(m.rounds);
-          w.varint(m.nodes_exchanged);
-          w.varint(m.keys_compared);
-          w.varint(m.keys_shipped);
-          w.varint(m.wire_bytes);
-        } else if constexpr (std::is_same_v<T, CoordReadReqMsg>) {
-          w.varint(m.req);
-          w.bytes(m.key);
-        } else if constexpr (std::is_same_v<T, CoordReadRespMsg>) {
-          w.varint(m.req);
-          w.varint(m.found ? 1 : 0);
-          w.bytes(m.state);
-        } else if constexpr (std::is_same_v<T, CoordWriteReqMsg>) {
-          w.varint(m.req);
-          w.bytes(m.key);
-          w.bytes(m.state);
-        } else if constexpr (std::is_same_v<T, CoordWriteRespMsg>) {
-          w.varint(m.req);
-        } else if constexpr (std::is_same_v<T, JoinReqMsg>) {
-          w.varint(m.node);
-        } else if constexpr (std::is_same_v<T, EpochAnnounceMsg>) {
-          w.varint(m.epoch);
-          w.varint(m.members.size());
-          for (std::size_t i = 0; i < m.members.size(); ++i) {
-            // The wire form is canonical-only; encoding an unsorted
-            // list would mint bytes the strict decoder rejects.
-            DVV_ASSERT_MSG(i == 0 || m.members[i - 1] < m.members[i],
-                           "net: epoch members must be strictly ascending");
-            w.varint(m.members[i]);
-          }
-        } else if constexpr (std::is_same_v<T, TransferDoneMsg>) {
-          w.varint(m.epoch);
-          w.varint(m.partition);
-          w.varint(m.owner);
-          w.varint(m.keys_shipped);
-          w.varint(m.wire_bytes);
-        } else {
-          static_assert(std::is_same_v<T, BatchMsg>);
-          w.varint(m.frames.size());
-          for (const std::string& frame : m.frames) w.bytes(frame);
-        }
-      },
-      msg);
-}
-
+// The type tag (the variant index as a varint), then the fields in
+// fields(m) order.  Byte fields are length-prefixed; ids, counters and
+// digests are varints; a bool is the varint 0 or 1 — the exact framing
+// the clock codecs use.
+//
 // Decoding is STRICT — the message layer is the first thing a socket
 // front-end will point at hostile bytes, so the decode path follows the
 // token.hpp contract: bounds-checked, linear in the received bytes
 // (length claims are capped against the remaining input before any
-// allocation), canonical-form-only (non-minimal varints and found
-// flags outside {0,1} are rejected), and a failure is a status return,
-// never an assert.  Successful decode of a full frame therefore
-// implies encode_to_bytes reproduces the input byte-for-byte — the
-// round-trip property the wire fuzzer pins.
-//
-// There is ONE parser: try_decode_view.  Owned decode is the view
-// parser plus materialize(), so the strict contract cannot drift
-// between the zero-copy delivery path and the owned path.
+// allocation), canonical-form-only (non-minimal varints and bools
+// outside {0,1} are rejected), and a failure is a status return, never
+// an assert.  Successful decode of a full frame therefore implies
+// encode reproduces the input byte-for-byte — the round-trip property
+// the wire fuzzer pins.  There is ONE parser, into views; the owned
+// decode is that parser plus materialize().
 
-[[nodiscard]] inline bool parse_batch_frames(codec::StrictReader& r,
-                                             std::uint64_t count,
-                                             std::vector<MessageView>* out);
+namespace detail {
+
+/// Calls `f` on each of `m`'s wire fields in wire order, stopping at the
+/// first call that returns false; true when none did.
+template <typename T, typename F>
+constexpr bool each_field(T& m, F&& f) {
+  return std::apply([&](auto&... field) { return (f(field) && ...); },
+                    std::remove_const_t<T>::fields(m));
+}
+
+/// A codec::Writer stand-in that only counts: sizing is the encode walk
+/// with the bytes left out, so a size cannot disagree with an encoding.
+struct SizeCounter {
+  std::size_t n = 0;
+  void varint(std::uint64_t v) { n += codec::varint_size(v); }
+  void bytes(std::string_view v) {
+    n += codec::varint_size(v.size()) + v.size();
+  }
+  void raw(std::string_view v) { n += v.size(); }
+};
+
+template <typename W>
+void put_field(W& w, std::uint64_t v) {
+  w.varint(v);
+}
+template <typename W>
+void put_field(W& w, bool v) {
+  w.varint(v ? 1 : 0);
+}
+template <typename W>
+void put_field(W& w, std::string_view v) {
+  w.bytes(v);
+}
+template <typename W>
+void put_field(W& w, const WireRegion& v) {
+  w.varint(v.count);
+  w.raw(v.bytes);
+}
+template <typename W>
+void put_field(W& w, const std::vector<NodeId>& members) {
+  w.varint(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    // The wire form is canonical-only; encoding an unsorted list would
+    // mint bytes the strict decoder rejects.
+    DVV_ASSERT_MSG(i == 0 || members[i - 1] < members[i],
+                   "net: epoch members must be strictly ascending");
+    w.varint(members[i]);
+  }
+}
+template <typename W>
+void put_field(W& w, const std::vector<std::string>& frames) {
+  w.varint(frames.size());
+  for (const std::string& frame : frames) w.bytes(frame);
+}
+
+[[nodiscard]] inline bool take_field(codec::StrictReader& r, std::uint64_t& v) {
+  return r.varint(v);
+}
+[[nodiscard]] inline bool take_field(codec::StrictReader& r, bool& v) {
+  std::uint64_t raw = 0;
+  if (!r.varint(raw) || raw > 1) return false;  // canonical bool
+  v = raw != 0;
+  return true;
+}
+[[nodiscard]] inline bool take_field(codec::StrictReader& r,
+                                     std::string_view& v) {
+  return r.bytes_view(v);
+}
+[[nodiscard]] inline bool take_field(codec::StrictReader& r, MemberRegion& v) {
+  if (!r.varint(v.count)) return false;
+  // A ring is never empty; every member varint costs >= 1 byte, so a
+  // count beyond the remaining bytes is an overclaim — reject before
+  // walking anything.
+  if (v.count == 0 || v.count > r.remaining()) return false;
+  const std::size_t begin = r.position();
+  std::uint64_t prev = 0;
+  for (std::uint64_t i = 0; i < v.count; ++i) {
+    std::uint64_t member = 0;
+    if (!r.varint(member)) return false;
+    // Canonical form only: strictly ascending ids (sorted AND distinct),
+    // so equal member sets have equal encodings.
+    if (i > 0 && member <= prev) return false;
+    prev = member;
+  }
+  v.bytes = r.viewed_since(begin);
+  return true;
+}
+[[nodiscard]] inline bool take_field(codec::StrictReader& r, FrameRegion& v);
+
+/// Strict decode of alternative I's fields into `out`.
+template <std::size_t I>
+[[nodiscard]] bool take_frame(codec::StrictReader& r, MessageView& out) {
+  return each_field(out.emplace<I>(),
+                    [&r](auto& field) { return take_field(r, field); });
+}
+
+using FrameDecoder = bool (*)(codec::StrictReader&, MessageView&);
+
+template <std::size_t... I>
+[[nodiscard]] constexpr auto frame_decoders(std::index_sequence<I...>) {
+  return std::array<FrameDecoder, sizeof...(I)>{&take_frame<I>...};
+}
+
+/// take_frame, indexed by wire tag.
+inline constexpr auto kFrameDecoders = frame_decoders(
+    std::make_index_sequence<std::variant_size_v<MessageView>>{});
+
+}  // namespace detail
+
+/// Appends frame `m` (owned or view): its tag, then its fields in wire
+/// order.  `w` is a codec::Writer (or the sizing walk's counter).
+template <typename W, Frame T>
+void encode(W& w, const T& m) {
+  w.varint(kMessageTagOf<T>);
+  detail::each_field(m, [&w](const auto& field) {
+    detail::put_field(w, field);
+    return true;
+  });
+}
+
+/// Appends `msg`, a Message or a MessageView (a view decoded from a
+/// frame re-encodes to exactly that frame).
+template <typename W, typename... Ts>
+void encode(W& w, const std::variant<Ts...>& msg) {
+  std::visit([&w](const auto& m) { encode(w, m); }, msg);
+}
 
 /// Strict decode of one message from `r`, into non-owning views over
 /// the input buffer.  Returns nullopt on any malformation, leaving `r`
@@ -395,129 +506,26 @@ inline void encode(codec::Writer& w, const Message& msg) {
   if (!r.varint(tag)) return std::nullopt;
   if (tag >= std::variant_size_v<MessageView>) return std::nullopt;
   if (tag_out != nullptr) *tag_out = static_cast<std::size_t>(tag);
-  switch (tag) {
-    case 0: {
-      ReplicateView v;
-      if (!r.bytes_view(v.key) || !r.bytes_view(v.state)) return std::nullopt;
-      return MessageView{v};
-    }
-    case 1: {
-      HintView v;
-      if (!r.varint(v.owner) || !r.bytes_view(v.key) || !r.bytes_view(v.state)) {
-        return std::nullopt;
-      }
-      return MessageView{v};
-    }
-    case 2: {
-      HintDeliverView v;
-      if (!r.varint(v.owner) || !r.bytes_view(v.key) || !r.bytes_view(v.state)) {
-        return std::nullopt;
-      }
-      return MessageView{v};
-    }
-    case 3: {
-      HintAckView v;
-      if (!r.varint(v.owner) || !r.bytes_view(v.key) || !r.varint(v.digest)) {
-        return std::nullopt;
-      }
-      return MessageView{v};
-    }
-    case 4: {
-      SyncReqView v;
-      if (!r.varint(v.nonce)) return std::nullopt;
-      return MessageView{v};
-    }
-    case 5: {
-      SyncRespView v;
-      if (!r.varint(v.nonce) || !r.varint(v.rounds) ||
-          !r.varint(v.nodes_exchanged) || !r.varint(v.keys_compared) ||
-          !r.varint(v.keys_shipped) || !r.varint(v.wire_bytes)) {
-        return std::nullopt;
-      }
-      return MessageView{v};
-    }
-    case 6: {
-      CoordReadReqView v;
-      if (!r.varint(v.req) || !r.bytes_view(v.key)) return std::nullopt;
-      return MessageView{v};
-    }
-    case 7: {
-      CoordReadRespView v;
-      std::uint64_t found = 0;
-      if (!r.varint(v.req) || !r.varint(found)) return std::nullopt;
-      if (found > 1) return std::nullopt;  // canonical bool
-      v.found = found != 0;
-      if (!r.bytes_view(v.state)) return std::nullopt;
-      return MessageView{v};
-    }
-    case 8: {
-      CoordWriteReqView v;
-      if (!r.varint(v.req) || !r.bytes_view(v.key) || !r.bytes_view(v.state)) {
-        return std::nullopt;
-      }
-      return MessageView{v};
-    }
-    case 9: {
-      CoordWriteRespView v;
-      if (!r.varint(v.req)) return std::nullopt;
-      return MessageView{v};
-    }
-    case 10: {
-      JoinReqView v;
-      if (!r.varint(v.node)) return std::nullopt;
-      return MessageView{v};
-    }
-    case 11: {
-      EpochAnnounceView v;
-      if (!r.varint(v.epoch) || !r.varint(v.count)) return std::nullopt;
-      // A ring is never empty; every member varint costs >= 1 byte, so
-      // a count beyond the remaining bytes is an overclaim — reject
-      // before walking anything.
-      if (v.count == 0 || v.count > r.remaining()) return std::nullopt;
-      const std::size_t begin = r.position();
-      std::uint64_t prev = 0;
-      for (std::uint64_t i = 0; i < v.count; ++i) {
-        std::uint64_t member = 0;
-        if (!r.varint(member)) return std::nullopt;
-        // Canonical form only: strictly ascending ids (sorted AND
-        // distinct), so equal member sets have equal encodings.
-        if (i > 0 && member <= prev) return std::nullopt;
-        prev = member;
-      }
-      v.members = r.viewed_since(begin);
-      return MessageView{v};
-    }
-    case 12: {
-      TransferDoneView v;
-      if (!r.varint(v.epoch) || !r.varint(v.partition) || !r.varint(v.owner) ||
-          !r.varint(v.keys_shipped) || !r.varint(v.wire_bytes)) {
-        return std::nullopt;
-      }
-      return MessageView{v};
-    }
-    default: {
-      if (!allow_batch) return std::nullopt;  // no nested batches
-      BatchView v;
-      if (!r.varint(v.count)) return std::nullopt;
-      // An empty batch is never framed; a count beyond the remaining
-      // bytes is an overclaim (every sub-frame costs >= 2 bytes).
-      if (v.count == 0 || v.count > r.remaining()) return std::nullopt;
-      const std::size_t begin = r.position();
-      if (!parse_batch_frames(r, v.count, nullptr)) return std::nullopt;
-      v.frames = r.viewed_since(begin);
-      return MessageView{v};
-    }
-  }
+  if (tag == kBatchTag && !allow_batch) return std::nullopt;  // no nesting
+  MessageView view;
+  if (!detail::kFrameDecoders[tag](r, view)) return std::nullopt;
+  return view;
 }
 
-/// Validates `count` length-prefixed sub-frames at `r`, each a complete
-/// non-batch message with no trailing bytes; collects the decoded views
-/// into `out` when non-null.  Linear: fails at the first sub-frame the
-/// input cannot hold.
-[[nodiscard]] inline bool parse_batch_frames(codec::StrictReader& r,
-                                             std::uint64_t count,
-                                             std::vector<MessageView>* out) {
-  for (std::uint64_t i = 0; i < count; ++i) {
+namespace detail {
+
+/// Strict decode of a batch frame list at `r`: the count, then that many
+/// length-prefixed sub-frames, each a complete NON-batch message with no
+/// trailing bytes; appends the sub-views to `out` when non-null.
+/// Linear: fails at the first sub-frame the input cannot hold.
+[[nodiscard]] inline bool take_frames(codec::StrictReader& r, FrameRegion& v,
+                                      std::vector<MessageView>* out) {
+  if (!r.varint(v.count)) return false;
+  // An empty batch is never framed; a count beyond the remaining bytes
+  // is an overclaim (every sub-frame costs >= 2 bytes).
+  if (v.count == 0 || v.count > r.remaining()) return false;
+  const std::size_t begin = r.position();
+  for (std::uint64_t i = 0; i < v.count; ++i) {
     std::string_view frame;
     if (!r.bytes_view(frame)) return false;
     codec::StrictReader sub(frame.data(), frame.size());
@@ -526,225 +534,123 @@ inline void encode(codec::Writer& w, const Message& msg) {
     if (!view.has_value() || !sub.done()) return false;
     if (out != nullptr) out->push_back(*view);
   }
+  v.bytes = r.viewed_since(begin);
   return true;
 }
 
-/// Strict decode of one complete NON-batch frame (a batch sub-frame, or
-/// an owned BatchMsg's stored encoding): one message, every byte
-/// consumed.
-[[nodiscard]] inline std::optional<MessageView> decode_frame_view(
-    std::string_view frame) {
-  codec::StrictReader r(frame.data(), frame.size());
-  std::optional<MessageView> view =
-      try_decode_view(r, nullptr, /*allow_batch=*/false);
-  if (!view.has_value() || !r.done()) return std::nullopt;
-  return view;
+inline bool take_field(codec::StrictReader& r, FrameRegion& v) {
+  return take_frames(r, v, nullptr);
 }
 
+template <typename T>
+void convert_field(T& to, const T& from) {
+  to = from;
+}
+inline void convert_field(std::string& to, std::string_view from) {
+  to.assign(from);
+}
+inline void convert_field(std::string_view& to, const std::string& from) {
+  to = from;
+}
+inline void convert_field(std::vector<NodeId>& to, const MemberRegion& from) {
+  to.reserve(static_cast<std::size_t>(from.count));
+  codec::StrictReader r(from.bytes.data(), from.bytes.size());
+  for (std::uint64_t i = 0; i < from.count; ++i) {
+    std::uint64_t member = 0;
+    const bool ok = r.varint(member);
+    DVV_ASSERT_MSG(ok, "net: materializing an unvalidated epoch view");
+    to.push_back(member);
+  }
+}
+inline void convert_field(std::vector<std::string>& to,
+                          const FrameRegion& from) {
+  to.reserve(static_cast<std::size_t>(from.count));
+  codec::StrictReader r(from.bytes.data(), from.bytes.size());
+  for (std::uint64_t i = 0; i < from.count; ++i) {
+    std::string_view frame;
+    const bool ok = r.bytes_view(frame);
+    DVV_ASSERT_MSG(ok, "net: materializing an unvalidated batch view");
+    to.emplace_back(frame);
+  }
+}
+
+/// `from` as frame `To` — the same frame over the other byte-field
+/// type — converted field by field.
+template <typename To, typename From>
+[[nodiscard]] To convert_frame(const From& from) {
+  To to;
+  const auto to_fields = To::fields(to);
+  const auto from_fields = From::fields(from);
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (convert_field(std::get<I>(to_fields), std::get<I>(from_fields)), ...);
+  }(std::make_index_sequence<std::tuple_size_v<decltype(to_fields)>>{});
+  return to;
+}
+
+}  // namespace detail
+
 /// Owned message from a decoded view: copies every viewed byte range
-/// into fresh strings — the one adoption point where the zero-copy
-/// path materializes.
+/// into fresh strings — where the zero-copy path materializes.
 [[nodiscard]] inline Message materialize(const MessageView& view) {
   return std::visit(
       [](const auto& v) -> Message {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, ReplicateView>) {
-          return ReplicateMsg{std::string(v.key), std::string(v.state)};
-        } else if constexpr (std::is_same_v<T, HintView>) {
-          return HintMsg{v.owner, std::string(v.key), std::string(v.state)};
-        } else if constexpr (std::is_same_v<T, HintDeliverView>) {
-          return HintDeliverMsg{v.owner, std::string(v.key), std::string(v.state)};
-        } else if constexpr (std::is_same_v<T, HintAckView>) {
-          return HintAckMsg{v.owner, std::string(v.key), v.digest};
-        } else if constexpr (std::is_same_v<T, SyncReqView>) {
-          return SyncReqMsg{v.nonce};
-        } else if constexpr (std::is_same_v<T, SyncRespView>) {
-          return SyncRespMsg{v.nonce,         v.rounds,       v.nodes_exchanged,
-                             v.keys_compared, v.keys_shipped, v.wire_bytes};
-        } else if constexpr (std::is_same_v<T, CoordReadReqView>) {
-          return CoordReadReqMsg{v.req, std::string(v.key)};
-        } else if constexpr (std::is_same_v<T, CoordReadRespView>) {
-          return CoordReadRespMsg{v.req, v.found, std::string(v.state)};
-        } else if constexpr (std::is_same_v<T, CoordWriteReqView>) {
-          return CoordWriteReqMsg{v.req, std::string(v.key), std::string(v.state)};
-        } else if constexpr (std::is_same_v<T, CoordWriteRespView>) {
-          return CoordWriteRespMsg{v.req};
-        } else if constexpr (std::is_same_v<T, JoinReqView>) {
-          return JoinReqMsg{v.node};
-        } else if constexpr (std::is_same_v<T, EpochAnnounceView>) {
-          EpochAnnounceMsg m;
-          m.epoch = v.epoch;
-          m.members.reserve(static_cast<std::size_t>(v.count));
-          codec::StrictReader r(v.members.data(), v.members.size());
-          for (std::uint64_t i = 0; i < v.count; ++i) {
-            std::uint64_t member = 0;
-            const bool ok = r.varint(member);
-            DVV_ASSERT_MSG(ok, "net: materializing an unvalidated epoch view");
-            m.members.push_back(static_cast<NodeId>(member));
-          }
-          return m;
-        } else if constexpr (std::is_same_v<T, TransferDoneView>) {
-          return TransferDoneMsg{v.epoch, v.partition, v.owner, v.keys_shipped,
-                                 v.wire_bytes};
-        } else {
-          static_assert(std::is_same_v<T, BatchView>);
-          BatchMsg m;
-          m.frames.reserve(static_cast<std::size_t>(v.count));
-          codec::StrictReader r(v.frames.data(), v.frames.size());
-          for (std::uint64_t i = 0; i < v.count; ++i) {
-            std::string_view frame;
-            const bool ok = r.bytes_view(frame);
-            DVV_ASSERT_MSG(ok, "net: materializing an unvalidated batch view");
-            m.frames.emplace_back(frame);
-          }
-          return m;
-        }
+        constexpr std::size_t tag = kMessageTagOf<std::decay_t<decltype(v)>>;
+        using Owned = std::variant_alternative_t<tag, Message>;
+        return Message(std::in_place_index<tag>,
+                       detail::convert_frame<Owned>(v));
       },
       view);
 }
 
-/// Non-owning view of an owned message (string fields become views into
-/// the message's own strings — valid while `msg` lives).  BatchMsg and
-/// EpochAnnounceMsg are excluded: their view forms are contiguous wire
-/// regions an owned frame list / member vector does not have; consumers
-/// iterate the owned fields directly.
-[[nodiscard]] inline MessageView as_view(const Message& msg) {
+/// Non-owning view of an owned message: byte fields alias `msg`'s own
+/// strings (valid while `msg` lives unmodified).  nullopt for
+/// EpochAnnounceMsg and BatchMsg, whose view forms are wire regions an
+/// owned member or frame list does not have — those cross as real bytes.
+[[nodiscard]] inline std::optional<MessageView> as_view(const Message& msg) {
   return std::visit(
-      [](const auto& m) -> MessageView {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ReplicateMsg>) {
-          return ReplicateView{m.key, m.state};
-        } else if constexpr (std::is_same_v<T, HintMsg>) {
-          return HintView{m.owner, m.key, m.state};
-        } else if constexpr (std::is_same_v<T, HintDeliverMsg>) {
-          return HintDeliverView{m.owner, m.key, m.state};
-        } else if constexpr (std::is_same_v<T, HintAckMsg>) {
-          return HintAckView{m.owner, m.key, m.digest};
-        } else if constexpr (std::is_same_v<T, SyncReqMsg>) {
-          return SyncReqView{m.nonce};
-        } else if constexpr (std::is_same_v<T, SyncRespMsg>) {
-          return SyncRespView{m.nonce,         m.rounds,       m.nodes_exchanged,
-                              m.keys_compared, m.keys_shipped, m.wire_bytes};
-        } else if constexpr (std::is_same_v<T, CoordReadReqMsg>) {
-          return CoordReadReqView{m.req, m.key};
-        } else if constexpr (std::is_same_v<T, CoordReadRespMsg>) {
-          return CoordReadRespView{m.req, m.found, m.state};
-        } else if constexpr (std::is_same_v<T, CoordWriteReqMsg>) {
-          return CoordWriteReqView{m.req, m.key, m.state};
-        } else if constexpr (std::is_same_v<T, CoordWriteRespMsg>) {
-          return CoordWriteRespView{m.req};
-        } else if constexpr (std::is_same_v<T, JoinReqMsg>) {
-          return JoinReqView{m.node};
-        } else if constexpr (std::is_same_v<T, TransferDoneMsg>) {
-          return TransferDoneView{m.epoch, m.partition, m.owner, m.keys_shipped,
-                                  m.wire_bytes};
+      [](const auto& m) -> std::optional<MessageView> {
+        constexpr std::size_t tag = kMessageTagOf<std::decay_t<decltype(m)>>;
+        if constexpr (tag == kEpochAnnounceTag || tag == kBatchTag) {
+          return std::nullopt;
         } else {
-          static_assert(std::is_same_v<T, BatchMsg> ||
-                        std::is_same_v<T, EpochAnnounceMsg>);
-          DVV_ASSERT_MSG(false, "net: as_view has no batch/epoch-announce form");
-          return SyncReqView{};  // unreachable
+          using View = std::variant_alternative_t<tag, MessageView>;
+          return MessageView(std::in_place_index<tag>,
+                             detail::convert_frame<View>(m));
         }
       },
       msg);
 }
 
-/// Strict decode of one OWNED message from `r` — the view parser plus
-/// materialize, so both decode forms share one implementation.
-[[nodiscard]] inline std::optional<Message> try_decode_message(
-    codec::StrictReader& r, std::size_t* tag_out = nullptr) {
-  std::optional<MessageView> view = try_decode_view(r, tag_out);
-  if (!view.has_value()) return std::nullopt;
-  return materialize(*view);
-}
-
-/// Strict decode of a full transport payload: one message consuming
-/// every byte.  Trailing bytes, truncation, unknown tags and
-/// non-canonical encodings all return nullopt.  `tag_out` as above.
+/// Strict decode of a full transport payload into an OWNED message: one
+/// message consuming every byte.  Trailing bytes, truncation, unknown
+/// tags and non-canonical encodings all return nullopt.  `tag_out` as
+/// in try_decode_view.
 [[nodiscard]] inline std::optional<Message> try_decode_from_bytes(
     std::string_view bytes, std::size_t* tag_out = nullptr) {
   codec::StrictReader r(bytes.data(), bytes.size());
-  std::optional<Message> msg = try_decode_message(r, tag_out);
-  if (!msg.has_value() || !r.done()) return std::nullopt;
-  return msg;
+  std::optional<MessageView> view = try_decode_view(r, tag_out);
+  if (!view.has_value() || !r.done()) return std::nullopt;
+  return materialize(*view);
 }
 
-namespace detail {
-
-template <typename T, typename... Ts>
-[[nodiscard]] constexpr std::size_t variant_index_of(const std::variant<Ts...>*) {
-  constexpr bool matches[] = {std::is_same_v<T, Ts>...};
-  for (std::size_t i = 0; i < sizeof...(Ts); ++i) {
-    if (matches[i]) return i;
-  }
-  return std::variant_npos;
+/// Exact codec size of frame `m` (either form), computed without
+/// building the bytes.  Fan-out senders that just filled a typed slot
+/// use this to compute the size_hint they pass along with the borrowed
+/// message, so the transport never re-walks the variant (SimTransport
+/// asserts the hint against the real encoding).
+template <Frame T>
+[[nodiscard]] std::size_t wire_size_of(const T& m) {
+  detail::SizeCounter counter;
+  encode(counter, m);
+  return counter.n;
 }
 
-}  // namespace detail
-
-/// `T`'s wire tag (its Message variant index), at compile time.
-template <typename T>
-inline constexpr std::size_t kMessageTagOf =
-    detail::variant_index_of<T>(static_cast<const Message*>(nullptr));
-
-/// Exact codec size of a STATICALLY-known alternative — wire_size's
-/// arithmetic with the variant dispatch compiled away.  Fan-out
-/// senders that just filled a typed slot use this to compute the
-/// size_hint they pass along with the borrowed message, so the
-/// transport never re-walks the variant (SimTransport asserts the hint
-/// against the real encoding, which keeps this table honest).
-template <typename T>
-[[nodiscard]] inline std::size_t wire_size_of(const T& m) {
-  static_assert(kMessageTagOf<T> != std::variant_npos);
-  const auto bytes_size = [](const std::string& s) {
-    return codec::varint_size(s.size()) + s.size();
-  };
-  std::size_t n = codec::varint_size(kMessageTagOf<T>);
-  if constexpr (std::is_same_v<T, ReplicateMsg>) {
-    n += bytes_size(m.key) + bytes_size(m.state);
-  } else if constexpr (std::is_same_v<T, HintMsg> ||
-                       std::is_same_v<T, HintDeliverMsg>) {
-    n += codec::varint_size(m.owner) + bytes_size(m.key) + bytes_size(m.state);
-  } else if constexpr (std::is_same_v<T, HintAckMsg>) {
-    n += codec::varint_size(m.owner) + bytes_size(m.key) +
-         codec::varint_size(m.digest);
-  } else if constexpr (std::is_same_v<T, SyncReqMsg>) {
-    n += codec::varint_size(m.nonce);
-  } else if constexpr (std::is_same_v<T, SyncRespMsg>) {
-    n += codec::varint_size(m.nonce) + codec::varint_size(m.rounds) +
-         codec::varint_size(m.nodes_exchanged) +
-         codec::varint_size(m.keys_compared) +
-         codec::varint_size(m.keys_shipped) + codec::varint_size(m.wire_bytes);
-  } else if constexpr (std::is_same_v<T, CoordReadReqMsg>) {
-    n += codec::varint_size(m.req) + bytes_size(m.key);
-  } else if constexpr (std::is_same_v<T, CoordReadRespMsg>) {
-    n += codec::varint_size(m.req) + codec::varint_size(m.found ? 1 : 0) +
-         bytes_size(m.state);
-  } else if constexpr (std::is_same_v<T, CoordWriteReqMsg>) {
-    n += codec::varint_size(m.req) + bytes_size(m.key) + bytes_size(m.state);
-  } else if constexpr (std::is_same_v<T, CoordWriteRespMsg>) {
-    n += codec::varint_size(m.req);
-  } else if constexpr (std::is_same_v<T, JoinReqMsg>) {
-    n += codec::varint_size(m.node);
-  } else if constexpr (std::is_same_v<T, EpochAnnounceMsg>) {
-    n += codec::varint_size(m.epoch) + codec::varint_size(m.members.size());
-    for (const NodeId id : m.members) n += codec::varint_size(id);
-  } else if constexpr (std::is_same_v<T, TransferDoneMsg>) {
-    n += codec::varint_size(m.epoch) + codec::varint_size(m.partition) +
-         codec::varint_size(m.owner) + codec::varint_size(m.keys_shipped) +
-         codec::varint_size(m.wire_bytes);
-  } else {
-    static_assert(std::is_same_v<T, BatchMsg>);
-    n += codec::varint_size(m.frames.size());
-    for (const std::string& frame : m.frames) n += bytes_size(frame);
-  }
-  return n;
-}
-
-/// Exact size of `msg`'s codec encoding, computed without building the
-/// bytes.  Envelopes are metered with this so the inline transport's
-/// zero-copy fast path charges the same wire bytes the byte-faithful
-/// SimTransport pays for real (it asserts the two agree).
-[[nodiscard]] inline std::size_t wire_size(const Message& msg) {
+/// Exact size of `msg`'s (a Message or MessageView) codec encoding.
+/// Envelopes are metered with this where no encoded frame exists: the
+/// inline loopback charges the same wire bytes the byte-faithful
+/// transports pay for real.
+template <typename... Ts>
+[[nodiscard]] std::size_t wire_size(const std::variant<Ts...>& msg) {
   return std::visit([](const auto& m) { return wire_size_of(m); }, msg);
 }
 
@@ -760,8 +666,10 @@ inline void encode_into(const Message& msg, std::string& out) {
              scratch->size());
 }
 
-/// Encodes `msg` to the byte string a Transport carries.
-[[nodiscard]] inline std::string encode_to_bytes(const Message& msg) {
+/// Encodes `msg` — one frame, a Message or a MessageView — to the byte
+/// string a Transport carries.
+template <typename M>
+[[nodiscard]] std::string encode_to_bytes(const M& msg) {
   codec::Writer w;
   encode(w, msg);
   return std::string(reinterpret_cast<const char*>(w.buffer().data()), w.size());
@@ -826,10 +734,9 @@ inline void note_decode_reject(std::size_t tag) {
   const std::size_t mark = out.size();
   codec::StrictReader r(bytes.data(), bytes.size());
   std::uint64_t tag = 0;
-  std::uint64_t count = 0;
-  if (r.varint(tag) && tag == std::variant_size_v<Message> - 1 &&
-      r.varint(count) && count > 0 && count <= r.remaining() &&
-      parse_batch_frames(r, count, &out) && r.done()) {
+  FrameRegion frames;
+  if (r.varint(tag) && tag == kBatchTag &&
+      detail::take_frames(r, frames, &out) && r.done()) {
     return true;
   }
   out.resize(mark);
@@ -920,10 +827,10 @@ const Message& fill_message(Message& slot, Fill&& fill) {
 /// block, so creating and copying it costs two pointer stores — no
 /// allocation, no refcount traffic.  The caller must keep `msg` alive
 /// and unmodified until the send completes (synchronous delivery
-/// included) and the delivery sink must not retain the envelope's msg
-/// beyond the sink call — the same lifetime contract as
-/// Envelope::decoded.  Senders that cannot promise that (or whose
-/// sinks retain messages) use pooled_message instead.
+/// included) and the delivery sink must not retain the envelope's views
+/// beyond the sink call (inline, they alias `msg`) — the same lifetime
+/// contract as Envelope::decoded.  Senders that cannot promise that use
+/// pooled_message instead.
 [[nodiscard]] inline std::shared_ptr<const Message> borrow_message(
     const Message& msg) {
   return {std::shared_ptr<const void>{}, &msg};

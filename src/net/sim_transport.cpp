@@ -5,10 +5,8 @@
 #include "net/sim_transport.hpp"
 
 #include <cstdlib>
-#include <optional>
 #include <string_view>
 #include <utility>
-#include <variant>
 
 #include "net/threaded_transport.hpp"
 
@@ -83,57 +81,14 @@ void SimTransport::send(NodeId from, NodeId to,
                  Queued{seq, from, to, std::move(bytes)});
 }
 
-std::size_t SimTransport::deliver_one(const Queued& queued) {
-  // Strict delivery decode, into views over the queued buffer: bytes
-  // this transport framed itself always parse; injected hostile bytes
-  // that do not are rejected and dropped here (counted, never
-  // delivered, never an abort).
-  std::optional<MessageView> view = decode_view_or_reject(*queued.bytes);
-  if (!view.has_value()) {
-    ++stats_.decode_rejected;
-    return 0;
-  }
-  obs::NetMetrics& m = met_;
-  if (std::holds_alternative<BatchView>(*view)) {
-    // A frame that IS a BatchMsg (an injected composite): deliver it as
-    // a batch envelope, metered per sub-message.
-    batch_views_.clear();
-    const bool ok = try_decode_batch_views(*queued.bytes, batch_views_);
-    DVV_ASSERT_MSG(ok, "net: accepted batch frame failed sub-view decode");
-    const BatchView& batch = std::get<BatchView>(*view);
-    codec::StrictReader frames(batch.frames.data(), batch.frames.size());
-    for (const MessageView& sub : batch_views_) {
-      std::string_view frame;
-      const bool framed = frames.bytes_view(frame);
-      DVV_ASSERT(framed);
-      ++stats_.delivered;
-      if (m.msgs_delivered.armed()) {
-        m.msgs_delivered.inc();
-        m.delivered_by_type[sub.index()].inc();
-        m.wire_bytes_delivered.inc(frame.size());
-      }
-    }
-    sink_batch(queued.seq, queued.from, queued.to, queued.bytes->size());
-    return batch_views_.size();
-  }
-  Envelope envelope;
-  envelope.seq = queued.seq;
-  envelope.from = queued.from;
-  envelope.to = queued.to;
-  envelope.wire_bytes = queued.bytes->size();
-  envelope.view = &*view;
-  deliver(envelope);
-  return 1;
-}
-
 std::size_t SimTransport::deliver_run(std::size_t begin, std::size_t end) {
   // Assemble the run into a REAL BatchMsg wire frame and strict-decode
   // it whole — the batch path is the wire format, not a shortcut past
   // it.  Sub-frame views alias batch_bytes_, valid through the sink
   // call below.
   batch_bytes_.clear();
-  append_varint(batch_bytes_, std::variant_size_v<Message> - 1);  // tag
-  append_varint(batch_bytes_, end - begin);                       // count
+  append_varint(batch_bytes_, kBatchTag);    // tag
+  append_varint(batch_bytes_, end - begin);  // count
   for (std::size_t k = begin; k < end; ++k) {
     append_varint(batch_bytes_, due_[k].bytes->size());
     batch_bytes_ += *due_[k].bytes;
@@ -144,36 +99,12 @@ std::size_t SimTransport::deliver_run(std::size_t begin, std::size_t end) {
     // delivery — each frame decodes or is rejected on its own, exactly
     // as an unbatched pump would have done.
     std::size_t n = 0;
-    for (std::size_t k = begin; k < end; ++k) n += deliver_one(due_[k]);
+    for (std::size_t k = begin; k < end; ++k) n += deliver_queued(due_[k]);
     return n;
   }
-  // Metering is per SUB-message, against each sub-frame's own wire
-  // bytes — the counters a batched run produces are identical to the
-  // unbatched twin's.
-  obs::NetMetrics& m = met_;
-  for (std::size_t k = begin; k < end; ++k) {
-    ++stats_.delivered;
-    if (m.msgs_delivered.armed()) {
-      m.msgs_delivered.inc();
-      m.delivered_by_type[batch_views_[k - begin].index()].inc();
-      m.wire_bytes_delivered.inc(due_[k].bytes->size());
-    }
-  }
-  sink_batch(due_[begin].seq, due_[begin].from, due_[begin].to,
-             batch_bytes_.size());
+  deliver(due_[begin].seq, due_[begin].from, due_[begin].to, batch_views_,
+          batch_bytes_.size(), stats_);
   return end - begin;
-}
-
-void SimTransport::sink_batch(std::uint64_t seq, NodeId from, NodeId to,
-                              std::size_t frame_bytes) {
-  DVV_ASSERT_MSG(sink_ != nullptr, "net: transport has no delivery sink");
-  Envelope envelope;
-  envelope.seq = seq;  // the run's first sub-message
-  envelope.from = from;
-  envelope.to = to;
-  envelope.wire_bytes = frame_bytes;
-  envelope.batch = std::span<const MessageView>(batch_views_);
-  sink_(envelope);
 }
 
 std::size_t SimTransport::pump() {
@@ -205,7 +136,7 @@ std::size_t SimTransport::pump() {
         ++j;
       }
     }
-    delivered += j - i == 1 ? deliver_one(due_[i]) : deliver_run(i, j);
+    delivered += j - i == 1 ? deliver_queued(due_[i]) : deliver_run(i, j);
     i = j;
   }
   due_.clear();  // release the buffers back to the pool promptly

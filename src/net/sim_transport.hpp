@@ -137,20 +137,18 @@ class SimTransport final : public Transport {
     std::shared_ptr<const std::string> bytes;
   };
 
-  /// Delivers one queued frame as a single envelope (expanding a
-  /// standalone BatchMsg frame into its sub-views).  Returns messages
-  /// delivered (0 on decode rejection).
-  std::size_t deliver_one(const Queued& queued);
+  /// Delivers one queued frame as a single envelope (a standalone
+  /// BatchMsg frame as its sub-views).  Returns messages delivered (0 on
+  /// decode rejection).
+  std::size_t deliver_queued(const Queued& queued) {
+    return deliver_frame(queued.seq, queued.from, queued.to, *queued.bytes,
+                         stats_, batch_views_);
+  }
 
   /// Coalesces due_[begin, end) — a same-link run — into one BatchMsg
   /// envelope; falls back to per-frame delivery if the assembled frame
   /// fails its strict decode (hostile injected bytes in the run).
   std::size_t deliver_run(std::size_t begin, std::size_t end);
-
-  /// Builds and sinks the batch envelope over batch_views_; metering
-  /// has already been done per sub-message by the caller.
-  void sink_batch(std::uint64_t seq, NodeId from, NodeId to,
-                  std::size_t frame_bytes);
 
   using QueueKey = std::pair<std::uint64_t, std::uint64_t>;
   using QueueEntry = std::pair<const QueueKey, Queued>;

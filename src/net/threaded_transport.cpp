@@ -13,11 +13,8 @@
 //     every delivery effect is visible to the quiescent observer.
 #include "net/threaded_transport.hpp"
 
-#include <optional>
 #include <utility>
-#include <variant>
 
-#include "codec/wire.hpp"
 #include "util/assert.hpp"
 
 namespace dvv::net {
@@ -191,53 +188,8 @@ void ThreadedTransport::process(Shard& shard, Entry& entry) {
   // Strict delivery decode over the received bytes — exactly the
   // SimTransport boundary: frames this transport encoded always parse;
   // injected hostile bytes are counted and dropped.
-  std::optional<MessageView> view = decode_view_or_reject(entry.bytes);
-  if (!view.has_value()) {
-    ++shard.local.decode_rejected;
-    return;
-  }
-  DVV_ASSERT_MSG(sink_ != nullptr, "net: transport has no delivery sink");
-  if (std::holds_alternative<BatchView>(*view)) {
-    // An injected composite frame (this transport never coalesces):
-    // deliver as a batch envelope, metered per sub-message.
-    shard.batch_views.clear();
-    const bool ok = try_decode_batch_views(entry.bytes, shard.batch_views);
-    DVV_ASSERT_MSG(ok, "net: accepted batch frame failed sub-view decode");
-    const BatchView& batch = std::get<BatchView>(*view);
-    codec::StrictReader frames(batch.frames.data(), batch.frames.size());
-    for (const MessageView& sub : shard.batch_views) {
-      std::string_view frame;
-      const bool framed = frames.bytes_view(frame);
-      DVV_ASSERT(framed);
-      ++shard.local.delivered;
-      if (met_.msgs_delivered.armed()) {
-        met_.msgs_delivered.inc();
-        met_.delivered_by_type[sub.index()].inc();
-        met_.wire_bytes_delivered.inc(frame.size());
-      }
-    }
-    Envelope envelope;
-    envelope.seq = entry.seq;
-    envelope.from = entry.from;
-    envelope.to = entry.to;
-    envelope.wire_bytes = entry.bytes.size();
-    envelope.batch = std::span<const MessageView>(shard.batch_views);
-    sink_(envelope);
-    return;
-  }
-  ++shard.local.delivered;
-  if (met_.msgs_delivered.armed()) {
-    met_.msgs_delivered.inc();
-    met_.delivered_by_type[view->index()].inc();
-    met_.wire_bytes_delivered.inc(entry.bytes.size());
-  }
-  Envelope envelope;
-  envelope.seq = entry.seq;
-  envelope.from = entry.from;
-  envelope.to = entry.to;
-  envelope.wire_bytes = entry.bytes.size();
-  envelope.view = &*view;
-  sink_(envelope);
+  (void)deliver_frame(entry.seq, entry.from, entry.to, entry.bytes,
+                      shard.local, shard.batch_views);
 }
 
 std::size_t ThreadedTransport::pump_shard(std::size_t index) {

@@ -4,33 +4,38 @@
 //
 // A Transport carries opaque encoded messages (net/message.hpp) from
 // one replica to another and hands them to a delivery sink installed by
-// the owning cluster.  Two implementations:
+// the owning cluster.  Three implementations:
 //
-//   InlineTransport  synchronous immediate delivery — provably
-//                    byte-identical to the pre-transport direct-call
-//                    semantics (tests/transport_equivalence_test.cpp);
-//                    the default, and the zero-overhead baseline
-//                    bench_transport measures against.
+//   InlineTransport    synchronous immediate delivery — provably
+//                      byte-identical to the pre-transport direct-call
+//                      semantics (tests/transport_equivalence_test.cpp);
+//                      the default, and the zero-overhead baseline
+//                      bench_transport measures against.
 //
-//   SimTransport     deterministic seeded fault injection: per-message
-//                    drop probability, duplication, reordering via
-//                    delayed-delivery queues, and named partitions that
-//                    cut the node set into isolated groups.  Delivery
-//                    happens in pump() ticks, so "in flight" is real
-//                    queued state a crash or partition can destroy.
+//   SimTransport       deterministic seeded fault injection: per-message
+//                      drop probability, duplication, reordering via
+//                      delayed-delivery queues, and named partitions that
+//                      cut the node set into isolated groups.  Delivery
+//                      happens in pump() ticks, so "in flight" is real
+//                      queued state a crash or partition can destroy.
 //
-// Serialization is LAZY, the way a production stack treats loopback: an
-// Envelope carries the typed message plus its exact codec size
-// (net::wire_size), and the sender may attach the already-decoded state
-// payload.  InlineTransport hands both straight through — zero copies,
-// so the message layer costs nothing on the hot path — while
-// SimTransport serializes every message to real bytes at send and
-// decodes at delivery (asserting the metered size matches), so the
-// fault plane exercises the true wire encoding everywhere it matters.
-// Either way wire accounting is the same bytes-on-the-wire number.
+//   ThreadedTransport  shard-per-thread delivery behind dvvd
+//                      (net/threaded_transport.hpp): each frame crosses
+//                      to the destination's shard thread as real bytes.
+//
+// Every transport delivers the same form: an Envelope of MessageViews
+// (net/message.hpp).  SimTransport and ThreadedTransport serialize every
+// message to real bytes at send and strict-decode them into views at
+// delivery, so the fault plane exercises the true wire encoding.  The
+// inline loopback skips serialization, the way a production stack
+// treats loopback: its views alias the sender's message, the sender may
+// attach the already-decoded state payload, and the metered size is the
+// exact codec size (net::wire_size) — zero copies, so the message layer
+// costs nothing on the hot path.  Either way wire accounting is the
+// same bytes-on-the-wire number.
 //
 // Partitions live in the base class: they are a topology fact, not a
-// timing artifact, so both transports honor them — an InlineTransport
+// timing artifact, so every transport honors them — an InlineTransport
 // under partition({A},{B}) drops cross-group sends on the spot (a
 // refused connection), while SimTransport also kills queued messages
 // whose link is cut before delivery (in-flight loss).
@@ -49,8 +54,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/message.hpp"
@@ -78,28 +85,15 @@ template <typename Id>
   return groups;
 }
 
-/// One message in the transport's custody.  At delivery a sink reads
-/// the payload through exactly one of three forms:
-///
-///   msg    owned typed message — how InlineTransport delivers (its
-///          loopback skips serialization, so the sender's object passes
-///          straight through);
-///   view   zero-copy decoded view over the received wire bytes — how
-///          SimTransport delivers a single queued frame; valid only
-///          during the sink call;
-///   batch  ordered sub-message views of one coalesced BatchMsg frame —
-///          how SimTransport delivers a same-link run; valid only
-///          during the sink call.
-///
-/// Sinks that only ever face one transport may assume its form; generic
-/// sinks (kv::Cluster::on_message) dispatch on whichever is set.
+/// One delivery, as every transport hands it to the sink: `views`, the
+/// delivered messages in order — one, or the sub-messages of a BatchMsg
+/// frame — as non-owning views over the received bytes (or, inline, over
+/// the sender's message).  Valid only during the sink call.
 struct Envelope {
   std::uint64_t seq = 0;  ///< global send order (assigned by the transport)
   NodeId from = 0;
   NodeId to = 0;
-  std::shared_ptr<const Message> msg;  ///< owned form; null for view deliveries
-  const MessageView* view = nullptr;   ///< zero-copy form (sink-call lifetime)
-  std::span<const MessageView> batch;  ///< coalesced sub-views, delivery order
+  std::span<const MessageView> views;  ///< delivery order
   /// Sender-attached fast-path payload (the decoded sibling state a
   /// ReplicateMsg/HintMsg/HintDeliverMsg carries), valid only when the
   /// transport delivered the sender's envelope unserialized.  It may be
@@ -109,22 +103,13 @@ struct Envelope {
   /// decode the message's state field like a real peer would (the
   /// byte-faithful SimTransport does exactly that).
   std::shared_ptr<const void> decoded;
-  std::size_t wire_bytes = 0;  ///< exact codec size of the encoded frame
-
-  /// The delivered message's variant index (batch deliveries report
-  /// BatchMsg's own index; per-sub-message attribution happens in the
-  /// transport's metering).
-  [[nodiscard]] std::size_t type_index() const {
-    if (!batch.empty()) return std::variant_size_v<Message> - 1;
-    if (view != nullptr) return view->index();
-    return msg->index();
-  }
+  std::size_t wire_bytes = 0;  ///< exact codec size of the delivered frame
 };
 
 /// Cumulative transport accounting (observability for tests/benches).
 struct TransportStats {
   std::size_t sent = 0;             ///< messages handed to send()
-  std::size_t delivered = 0;        ///< sink invocations (duplicates included)
+  std::size_t delivered = 0;        ///< messages delivered (incl. duplicates)
   std::size_t dropped = 0;          ///< lost to the drop probability
   std::size_t duplicated = 0;       ///< extra copies enqueued
   std::size_t partition_dropped = 0;  ///< lost to a cut link (send or delivery)
@@ -145,7 +130,7 @@ class Transport {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   /// Installs the delivery callback (the owning cluster's apply path).
-  /// Must be set before the first send; re-set after moving the owner.
+  /// Must be set before the first send.
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
   /// Hands one message to the wire.  `decoded` optionally carries the
@@ -241,18 +226,54 @@ class Transport {
   }
 
  protected:
-  /// Single-message delivery (owned or view form).  Batch envelopes are
-  /// metered per sub-message by the coalescing transport itself so the
-  /// delivered counters stay identical to an unbatched run.
-  void deliver(const Envelope& envelope) {
+  /// Hands the sink one envelope of `views` after metering each view as
+  /// one delivered message at its own encoded size, so a batch's
+  /// counters equal its unbatched twin's.  `stats` is the caller's
+  /// accounting block (per shard, for a sharded transport).
+  void deliver(std::uint64_t seq, NodeId from, NodeId to,
+               std::span<const MessageView> views, std::size_t wire_bytes,
+               TransportStats& stats,
+               const std::shared_ptr<const void>& decoded = nullptr) {
     DVV_ASSERT_MSG(sink_ != nullptr, "net: transport has no delivery sink");
-    ++stats_.delivered;
-    if (met_.msgs_delivered.armed()) {
-      met_.msgs_delivered.inc();
-      met_.delivered_by_type[envelope.type_index()].inc();
-      met_.wire_bytes_delivered.inc(envelope.wire_bytes);
+    for (const MessageView& view : views) {
+      ++stats.delivered;
+      if (met_.msgs_delivered.armed()) {
+        met_.msgs_delivered.inc();
+        met_.delivered_by_type[view.index()].inc();
+        met_.wire_bytes_delivered.inc(wire_size(view));
+      }
     }
+    Envelope envelope;
+    envelope.seq = seq;
+    envelope.from = from;
+    envelope.to = to;
+    envelope.views = views;
+    envelope.decoded = decoded;
+    envelope.wire_bytes = wire_bytes;
     sink_(envelope);
+  }
+
+  /// The receive path for one whole frame of real bytes: strict decode
+  /// into views (a BatchMsg frame into its ordered sub-views, collected
+  /// in `scratch`), then deliver.  Returns the messages delivered; 0
+  /// when the frame is rejected — counted and dropped, never an abort.
+  std::size_t deliver_frame(std::uint64_t seq, NodeId from, NodeId to,
+                            std::string_view bytes, TransportStats& stats,
+                            std::vector<MessageView>& scratch) {
+    const std::optional<MessageView> view = decode_view_or_reject(bytes);
+    if (!view.has_value()) {
+      ++stats.decode_rejected;
+      return 0;
+    }
+    std::span<const MessageView> views(&*view, 1);
+    if (view->index() == kBatchTag) {
+      scratch.clear();
+      const bool ok = try_decode_batch_views(bytes, scratch);
+      DVV_ASSERT_MSG(ok, "net: accepted batch frame failed sub-view decode");
+      views = scratch;
+    }
+    deliver(seq, from, to, views, bytes.size(), stats);
+    return views.size();
   }
 
   Sink sink_;
@@ -270,9 +291,9 @@ class Transport {
 /// Synchronous immediate delivery: send() invokes the sink before it
 /// returns, in send order — the pre-transport direct-call semantics,
 /// byte for byte.  Partitions still apply (a cut link refuses the send).
-/// The typed message and the sender's decoded payload pass straight
-/// through (loopback skips serialization); wire accounting still meters
-/// the exact encoded size.
+/// The sink's view aliases the sender's message and the sender's decoded
+/// payload passes straight through (loopback skips serialization); wire
+/// accounting still meters the exact encoded size.
 class InlineTransport final : public Transport {
  public:
   [[nodiscard]] const char* name() const noexcept override { return "inline"; }
@@ -293,14 +314,17 @@ class InlineTransport final : public Transport {
       met_.partition_dropped.inc();
       return;
     }
-    Envelope envelope;
-    envelope.seq = next_seq_++;
-    envelope.from = from;
-    envelope.to = to;
-    envelope.msg = msg;
-    envelope.decoded = decoded;
-    envelope.wire_bytes = size;
-    deliver(envelope);
+    const std::uint64_t seq = next_seq_++;
+    if (const std::optional<MessageView> view = as_view(*msg)) {
+      deliver(seq, from, to, {&*view, 1}, size, stats_, decoded);
+      return;
+    }
+    // EpochAnnounce and Batch frames have no aliasing view: they cross
+    // as real bytes, decoded like any received frame.  Both buffers are
+    // locals because the sink may send, re-entering this transport.
+    const std::string bytes = encode_to_bytes(*msg);
+    std::vector<MessageView> batch;
+    (void)deliver_frame(seq, from, to, bytes, stats_, batch);
   }
   using Transport::send;
 

@@ -60,8 +60,9 @@ using MetricHistogram = HistogramHandle;
 #endif
 
 /// net.* — transport accounting: per-message-type send/deliver counts,
-/// fault taxonomy, wire bytes.  Bumped by net/transport.hpp (inline)
-/// and net/sim_transport.cpp (faulty).
+/// fault taxonomy, wire bytes.  Sends and faults are bumped where each
+/// transport (src/net) makes them; deliveries only by the shared
+/// Transport::deliver (net/transport.hpp), once per delivered view.
 struct NetMetrics {
   MetricCounter msgs_sent;           ///< net.msgs_sent
   MetricCounter msgs_delivered;      ///< net.msgs_delivered

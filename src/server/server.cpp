@@ -339,24 +339,44 @@ void Server::handle_frame(std::size_t shard, Connection& conn,
     complete(shard, conn.id, seq, std::move(resp));
     return;
   }
+  forward(owner, shard, conn.id, seq, std::move(req));
+}
+
+void Server::forward(std::size_t owner, std::size_t shard,
+                     std::uint64_t conn_id, std::uint64_t seq, Request req) {
   // Cross-shard: run the operation in the coordinator's serial domain,
   // then post the encoded response back to this connection's shard.
   // Both hops are non-blocking posts — a shard thread never waits on
   // another shard.  The connection travels as its id, not a pointer:
   // it may be gone by the time the response returns (complete drops).
-  const std::uint64_t conn_id = conn.id;
-  transport_->post(owner, [this, shard, conn_id, seq, req = std::move(req)] {
+  transport_->post(owner, [this, owner, shard, conn_id, seq,
+                           req = std::move(req)]() mutable {
+    // A membership transition may have run since the post and moved the
+    // key's coordinator to another shard.  This closure may touch only
+    // `owner`'s replicas, so re-resolve and follow the key.  (With no
+    // coordinator left, execute answers kUnavailable touching nothing.)
+    const std::optional<kv::ReplicaId> coord =
+        store_.default_coordinator(req.key);
+    if (coord.has_value() && store_.shard_of(*coord) != owner) {
+      forward(store_.shard_of(*coord), shard, conn_id, seq, std::move(req));
+      return;
+    }
     std::string resp;
     execute(req, resp);
-    transport_->post(shard,
-                     [this, shard, conn_id, seq, resp = std::move(resp)] {
-                       complete(shard, conn_id, seq, std::move(resp));
-                       Loop& loop = *loops_[shard];
-                       auto it = loop.conns.find(conn_id);
-                       if (it != loop.conns.end() && it->second.broken) {
-                         close_connection(shard, conn_id);
-                       }
-                     });
+    post_response(shard, conn_id, seq, std::move(resp));
+  });
+}
+
+void Server::post_response(std::size_t shard, std::uint64_t conn_id,
+                           std::uint64_t seq, std::string resp) {
+  transport_->post(shard, [this, shard, conn_id, seq,
+                           resp = std::move(resp)]() mutable {
+    complete(shard, conn_id, seq, std::move(resp));
+    Loop& loop = *loops_[shard];
+    auto it = loop.conns.find(conn_id);
+    if (it != loop.conns.end() && it->second.broken) {
+      close_connection(shard, conn_id);
+    }
   });
 }
 
@@ -403,18 +423,7 @@ void Server::run_admin() {
     }
     std::string resp;
     execute_admin(job.req, resp);
-    const std::size_t shard = job.shard;
-    const std::uint64_t conn_id = job.conn_id;
-    const std::uint64_t seq = job.seq;
-    transport_->post(shard, [this, shard, conn_id, seq,
-                             resp = std::move(resp)]() mutable {
-      complete(shard, conn_id, seq, std::move(resp));
-      Loop& loop = *loops_[shard];
-      auto it = loop.conns.find(conn_id);
-      if (it != loop.conns.end() && it->second.broken) {
-        close_connection(shard, conn_id);
-      }
-    });
+    post_response(job.shard, job.conn_id, job.seq, std::move(resp));
   }
 }
 

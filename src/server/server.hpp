@@ -135,6 +135,15 @@ class Server {
   void adopt_connection(std::size_t shard, int fd);
   void handle_readable(std::size_t shard, std::uint64_t conn_id);
   void handle_frame(std::size_t shard, Connection& conn, std::string payload);
+  /// Runs a GET/PUT from connection `conn_id` (on `shard`) in coordinator
+  /// shard `owner`'s serial domain, re-resolving on arrival, and posts
+  /// the response back.
+  void forward(std::size_t owner, std::size_t shard, std::uint64_t conn_id,
+               std::uint64_t seq, Request req);
+  /// Posts a finished response to its connection's shard (from any
+  /// thread); closes the connection there if a write already broke it.
+  void post_response(std::size_t shard, std::uint64_t conn_id,
+                     std::uint64_t seq, std::string resp);
   /// Executes a parsed request on the CURRENT thread, which must be the
   /// coordinator's shard; appends the encoded response payload to `out`.
   void execute(const Request& req, std::string& out);

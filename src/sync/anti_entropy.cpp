@@ -62,11 +62,23 @@ void DigestIndex::on_key_touched(core::ActorId replica, const std::string& key) 
   dirty_[static_cast<std::size_t>(replica)].insert(key);
 }
 
+DigestIndex::PartitionId DigestIndex::id_of(
+    const std::vector<core::ActorId>& owners) {
+  PartitionId id = 0x9ae16a3b2f90404fULL;
+  for (const core::ActorId owner : owners) id = combine(id, mix64(owner + 1));
+  return id;
+}
+
+DigestIndex::PartitionId DigestIndex::partition_id(
+    const std::string& key) const {
+  DVV_ASSERT_MSG(partitioner_ != nullptr, "sync: partitioner not set");
+  return id_of(partitioner_(key));
+}
+
 DigestIndex::PartitionId DigestIndex::partition_of(const std::string& key) {
   DVV_ASSERT_MSG(partitioner_ != nullptr, "sync: partitioner not set");
   std::vector<core::ActorId> owners = partitioner_(key);
-  PartitionId id = 0x9ae16a3b2f90404fULL;
-  for (const core::ActorId owner : owners) id = combine(id, mix64(owner + 1));
+  const PartitionId id = id_of(owners);
   partition_owners_.emplace(id, std::move(owners));
   return id;
 }

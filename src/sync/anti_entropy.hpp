@@ -93,8 +93,7 @@ class DigestIndex final : public KeyObserver {
   DigestIndex() = default;
   DigestIndex(std::size_t replicas, MerkleConfig config);
 
-  /// Must be set before the first refresh().  (Re-set after moving the
-  /// owning cluster: the callback captures its ring.)
+  /// Must be set before the first refresh().
   void set_partitioner(Partitioner partitioner) {
     partitioner_ = std::move(partitioner);
   }
@@ -133,6 +132,10 @@ class DigestIndex final : public KeyObserver {
   /// Partition id for `key` (registers the partition on first sight).
   [[nodiscard]] PartitionId partition_of(const std::string& key);
 
+  /// Partition id for `key` without registering it: a pure read, safe
+  /// from several threads at once while the partitioner's ring is fixed.
+  [[nodiscard]] PartitionId partition_id(const std::string& key) const;
+
   [[nodiscard]] std::size_t dirty_count(std::size_t replica) const {
     return dirty_.at(replica).size();
   }
@@ -142,6 +145,8 @@ class DigestIndex final : public KeyObserver {
   }
 
  private:
+  [[nodiscard]] static PartitionId id_of(
+      const std::vector<core::ActorId>& owners);
   [[nodiscard]] MerkleTree& tree_slot(std::size_t replica, PartitionId p);
 
   MerkleConfig config_{};

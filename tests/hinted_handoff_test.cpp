@@ -166,12 +166,11 @@ TEST(HintedHandoff, DeadFallbackDoesNotPushParkedHints) {
 // back into the alive owners, while the hint itself stays parked for
 // its (long-dead) owner until that owner actually returns.
 TEST(HintedHandoff, AaeFoldsParkedHintsIntoAliveOwners) {
-  auto scenario = [] {
-    ClusterConfig cfg = config();
-    // The point is LOSING the owners' copies: pin the no-durability
-    // backend even when the suite runs with DVV_STORE_BACKEND=wal.
-    cfg.storage.kind = dvv::store::BackendKind::kMem;
-    Cluster<DvvMechanism> cluster(cfg, {});
+  ClusterConfig cfg = config();
+  // The point is LOSING the owners' copies: pin the no-durability
+  // backend even when the suite runs with DVV_STORE_BACKEND=wal.
+  cfg.storage.kind = dvv::store::BackendKind::kMem;
+  auto scenario = [](Cluster<DvvMechanism>& cluster) {
     const Key key = "k";
     const auto pref = cluster.preference_list(key);
     cluster.replica(pref[2]).set_alive(false);  // long-dead owner
@@ -184,14 +183,15 @@ TEST(HintedHandoff, AaeFoldsParkedHintsIntoAliveOwners) {
     (void)cluster.recover(pref[1]);
     EXPECT_FALSE(cluster.get(key, pref[0]).found);
     EXPECT_EQ(cluster.hinted_count(), 1u);
-    return cluster;
   };
 
   const Key key = "k";
   // Legacy pass and digest pass must both find the hint-only key and
   // reach the same bytes.
-  auto legacy = scenario();
-  auto digest = scenario();
+  Cluster<DvvMechanism> legacy(cfg, {});
+  Cluster<DvvMechanism> digest(cfg, {});
+  scenario(legacy);
+  scenario(digest);
   const auto pref = legacy.preference_list(key);
   EXPECT_GT(legacy.anti_entropy(), 0u);
   EXPECT_GT(digest.anti_entropy_digest().stats.keys_shipped, 0u);

@@ -7,7 +7,8 @@
 // harnesses (tests/fuzz/) explore probabilistically:
 //
 //   * every message type round-trips through the strict decode, and the
-//     accepted form is canonical (re-encode == input, wire_size == len);
+//     accepted form is canonical (re-encode == input, wire_size == len)
+//     whether decoded owned or as the view every transport delivers;
 //   * every strict prefix of a valid frame is rejected, as are trailing
 //     garbage, unknown tags, non-canonical varints and non-{0,1} bools;
 //   * decode_or_reject's rejection taxonomy: net.decode_reject plus the
@@ -18,8 +19,10 @@
 
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "codec/wire.hpp"
 #include "net/message.hpp"
 #include "net/sim_transport.hpp"
 #include "obs/metrics.hpp"
@@ -29,9 +32,13 @@ namespace {
 
 using namespace dvv::net;
 
-/// One specimen of every message type, with realistic payloads.
+/// One specimen of every message type, in wire-tag order, with
+/// realistic payloads.
 std::vector<Message> specimens() {
   const std::string state = "\x03opaque-state-bytes";
+  BatchMsg batch;
+  batch.frames = {encode_to_bytes(ReplicateMsg{"cart", state}),
+                  encode_to_bytes(CoordWriteRespMsg{6})};
   return {
       ReplicateMsg{"cart", state},
       HintMsg{2, "cart", state},
@@ -46,18 +53,40 @@ std::vector<Message> specimens() {
       JoinReqMsg{7},
       EpochAnnounceMsg{3, {0, 1, 2, 7}},
       TransferDoneMsg{3, 0x9ae16a3bULL, 7, 12, 4096},
+      batch,
   };
 }
 
 TEST(NetDecode, EveryTypeRoundTripsCanonically) {
-  for (const Message& msg : specimens()) {
+  const std::vector<Message> all = specimens();
+  ASSERT_EQ(all.size(), std::variant_size_v<Message>);
+  for (std::size_t tag = 0; tag < all.size(); ++tag) {
+    const Message& msg = all[tag];
+    ASSERT_EQ(msg.index(), tag) << "specimens must be in wire-tag order";
     const std::string bytes = encode_to_bytes(msg);
     const std::optional<Message> decoded = try_decode_from_bytes(bytes);
-    ASSERT_TRUE(decoded.has_value()) << "type index " << msg.index();
-    EXPECT_EQ(decoded->index(), msg.index());
+    ASSERT_TRUE(decoded.has_value()) << "type index " << tag;
+    EXPECT_EQ(decoded->index(), tag);
     EXPECT_EQ(encode_to_bytes(*decoded), bytes)
-        << "accepted frame not canonical, type index " << msg.index();
+        << "accepted frame not canonical, type index " << tag;
     EXPECT_EQ(wire_size(*decoded), bytes.size());
+
+    // The view every transport delivers re-encodes to the same bytes...
+    dvv::codec::StrictReader r(bytes.data(), bytes.size());
+    const std::optional<MessageView> view = try_decode_view(r);
+    ASSERT_TRUE(view.has_value() && r.done()) << "type index " << tag;
+    EXPECT_EQ(encode_to_bytes(*view), bytes) << "type index " << tag;
+    EXPECT_EQ(wire_size(*view), bytes.size());
+
+    // ...and so does the inline loopback's aliasing view, materialized.
+    // EpochAnnounce and Batch have none: they cross inline as bytes.
+    const std::optional<MessageView> alias = as_view(msg);
+    ASSERT_EQ(alias.has_value(), tag != kEpochAnnounceTag && tag != kBatchTag)
+        << "type index " << tag;
+    if (alias.has_value()) {
+      EXPECT_EQ(encode_to_bytes(materialize(*alias)), bytes)
+          << "type index " << tag;
+    }
   }
 }
 
@@ -189,13 +218,13 @@ TEST(NetDecode, SimTransportDropsInjectedGarbageAtDelivery) {
   SimTransport transport{SimTransportConfig{}};
   std::size_t delivered = 0;
   std::size_t replicate_seen = 0;
-  // SimTransport delivers zero-copy views (Envelope::view); the garbage
+  // SimTransport delivers zero-copy views (Envelope::views); the garbage
   // riding the same tick also exercises the batch assembler's fallback
   // to per-frame delivery.
   transport.set_sink([&](const Envelope& envelope) {
     ++delivered;
-    if (envelope.view != nullptr &&
-        std::holds_alternative<ReplicateView>(*envelope.view)) {
+    if (envelope.views.size() == 1 &&
+        std::holds_alternative<ReplicateView>(envelope.views[0])) {
       ++replicate_seen;
     }
   });

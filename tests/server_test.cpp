@@ -393,6 +393,74 @@ TEST(ServerAdminTest, JoinLeaveRingInfoOverSocket) {
   srv.stop();
 }
 
+TEST(ServerAdminTest, CrossShardRequestsSurviveMembershipChurn) {
+  // A JOIN/LEAVE storm on the admin plane while clients pipeline PUTs
+  // and GETs whose coordinators sit on other shards.  A request forwarded
+  // to its coordinator's shard can arrive after a transition moved that
+  // coordinator elsewhere; it must follow the key rather than touch
+  // another shard's replicas and coordination engine.
+  kv::StoreConfig config;
+  config.servers = 4;
+  config.capacity = 6;
+  config.transport.kind = net::TransportKind::kThreaded;
+  config.transport.threaded.shards = 4;
+  auto store = kv::make_store("dvv", config);
+  ASSERT_NE(store, nullptr);
+  server::Server srv(*store, server::ServerConfig{});
+  srv.start();
+
+  // gtest assertions are not thread-safe: client failures are counted
+  // and asserted on this thread.
+  std::atomic<bool> churning{true};
+  std::atomic<int> failures{0};
+  const auto pipeline = [&srv, &churning, &failures](std::uint64_t client_id) {
+    server::Client client(srv.port());
+    constexpr std::uint64_t kWindow = 64;
+    std::uint64_t next_id = 0;
+    // At least a few windows even if the storm finishes first.
+    for (int windows = 0;
+         churning.load(std::memory_order_acquire) || windows < 4; ++windows) {
+      const std::uint64_t first = next_id;
+      for (std::uint64_t i = 0; i < kWindow; ++i, ++next_id) {
+        const std::string key = "churn-" + std::to_string(next_id % 97);
+        if (next_id % 2 == 0) {
+          client.send_put(next_id, key, "", "v", client_id);
+        } else {
+          client.send_get(next_id, key);
+        }
+      }
+      for (std::uint64_t id = first; id < next_id; ++id) {
+        server::Response resp;
+        if (!client.read_response(/*is_get=*/id % 2 == 1, resp) ||
+            resp.request_id != id ||  // FIFO with id echo
+            resp.status != server::ResponseStatus::kOk) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> clients;
+  for (std::uint64_t c = 0; c < 3; ++c) clients.emplace_back(pipeline, c);
+
+  // The storm; each cycle returns to the seed ring {0, 1, 2, 3}.
+  server::Client admin(srv.port());
+  server::Response resp;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (const auto& [join, node] :
+         {std::pair{true, 4}, {false, 0}, {true, 5}, {true, 0}, {false, 4},
+          {false, 5}}) {
+      const bool sent = join ? admin.join(node, resp) : admin.leave(node, resp);
+      EXPECT_TRUE(sent && resp.status == server::ResponseStatus::kOk)
+          << (join ? "join " : "leave ") << node;
+    }
+  }
+  churning.store(false, std::memory_order_release);
+  for (std::thread& c : clients) c.join();
+  EXPECT_EQ(failures.load(), 0);
+  srv.stop();
+}
+
 TEST_F(ServerTest, StopWhileClientsConnectedShutsDownCleanly) {
   server::Client a(port());
   server::Client b(port());

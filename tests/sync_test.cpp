@@ -191,6 +191,21 @@ TEST(DigestIndex, RefreshFoldsDirtyKeys) {
   EXPECT_EQ(index.tree(0, partition).root(), 0u);
 }
 
+TEST(DigestIndex, PartitionIdIsAPureRead) {
+  // Shard threads route through partition_id concurrently mid-rebalance:
+  // it must agree with partition_of without registering anything.
+  DigestIndex index(3, MerkleConfig{});
+  index.set_partitioner([](const std::string& key) {
+    return key == "a" ? std::vector<dvv::core::ActorId>{0, 1}
+                      : std::vector<dvv::core::ActorId>{1, 2};
+  });
+  const auto a = index.partition_id("a");
+  EXPECT_NE(a, index.partition_id("b"));
+  EXPECT_EQ(index.partition_count(), 0u);
+  EXPECT_EQ(index.partition_of("a"), a);
+  EXPECT_EQ(index.partition_count(), 1u);
+}
+
 TEST(DigestIndex, DuplicateTouchesCollapse) {
   DigestIndex index(1, MerkleConfig{});
   for (int i = 0; i < 10; ++i) index.on_key_touched(0, "hot");

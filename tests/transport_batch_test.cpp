@@ -250,7 +250,7 @@ TEST(TransportBatchDecode, MalformedBatchFramesAreRejectedRowByRow) {
   std::size_t sub_messages = 0;
   transport.set_sink([&](const Envelope& envelope) {
     ++envelopes;
-    sub_messages += envelope.batch.empty() ? 1 : envelope.batch.size();
+    sub_messages += envelope.views.size();
   });
   const std::string sub = encoded_frame(sample_message());
 

@@ -65,7 +65,8 @@ Message probe(const std::string& tag) {
 }
 
 std::uint64_t nonce_of(const Envelope& e) {
-  return std::get<dvv::net::SyncReqMsg>(*e.msg).nonce;
+  EXPECT_EQ(e.views.size(), 1u);
+  return std::get<dvv::net::SyncReqView>(e.views[0]).nonce;
 }
 
 TEST(InlineTransport, DeliversSynchronouslyInSendOrder) {
@@ -103,6 +104,54 @@ TEST(InlineTransport, PartitionRefusesCrossGroupSends) {
   transport.heal();
   transport.send(0, 2, probe("after heal"));
   EXPECT_EQ(delivered, 2u);
+}
+
+TEST(InlineTransport, EpochAnnounceAndBatchCrossAsRealBytes) {
+  // Neither frame has a view that aliases an owned message, so the
+  // inline loopback encodes and strict-decodes it: the sink must see the
+  // views, delivered count and wire bytes SimTransport reports for the
+  // same sends — a batch as ONE envelope of its sub-messages.
+  dvv::net::BatchMsg batch;
+  batch.frames = {
+      dvv::net::encode_to_bytes(dvv::net::ReplicateMsg{"k", "state"}),
+      dvv::net::encode_to_bytes(dvv::net::CoordWriteRespMsg{6})};
+  const std::vector<Message> sends = {
+      dvv::net::EpochAnnounceMsg{3, {0, 1, 7}}, batch};
+
+  struct Seen {
+    std::vector<std::vector<std::string>> envelopes;  ///< views, re-encoded
+    std::vector<std::size_t> wire_bytes;
+  };
+  const auto run = [&sends](dvv::net::Transport& transport) {
+    Seen seen;
+    transport.set_sink([&seen](const Envelope& e) {
+      std::vector<std::string> views;
+      for (const dvv::net::MessageView& view : e.views) {
+        views.push_back(dvv::net::encode_to_bytes(view));
+      }
+      seen.envelopes.push_back(std::move(views));
+      seen.wire_bytes.push_back(e.wire_bytes);
+    });
+    for (const Message& msg : sends) {
+      transport.send(0, 1, msg);
+      (void)transport.drain();
+    }
+    return seen;
+  };
+  InlineTransport inline_transport;
+  SimTransport sim{SimTransportConfig{}};
+  const Seen inline_seen = run(inline_transport);
+  const Seen sim_seen = run(sim);
+
+  const std::vector<std::vector<std::string>> expected = {
+      {dvv::net::encode_to_bytes(sends[0])}, batch.frames};
+  EXPECT_EQ(inline_seen.envelopes, expected);
+  EXPECT_EQ(sim_seen.envelopes, expected);
+  EXPECT_EQ(inline_seen.wire_bytes, sim_seen.wire_bytes);
+  EXPECT_EQ(inline_transport.stats().delivered, 3u);
+  EXPECT_EQ(sim.stats().delivered, 3u);
+  EXPECT_EQ(inline_transport.stats().wire_bytes, sim.stats().wire_bytes);
+  EXPECT_EQ(inline_transport.stats().decode_rejected, 0u);
 }
 
 TEST(InlineTransport, UnnamedNodesFormTheRemainderGroup) {
