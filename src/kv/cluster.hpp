@@ -110,7 +110,6 @@ class Cluster {
         membership_(config_.initial_members, config_.replication,
                     config_.vnodes),
         ring_(membership_.current().ring),
-        known_epoch_(config_.capacity, 0),
         digest_index_(config_.capacity, config_.aae),
         transport_(net::make_transport(config_.transport)) {
     replicas_.reserve(config_.capacity);
@@ -233,7 +232,6 @@ class Cluster {
       drops_scratch_.hint_ack += d.hint_ack;
       drops_scratch_.sync += d.sync;
       drops_scratch_.coord += d.coord;
-      drops_scratch_.membership += d.membership;
     }
     return drops_scratch_;
   }
@@ -1050,15 +1048,15 @@ class Cluster {
   // ---- elastic membership (src/membership) -------------------------------
   //
   // Join, graceful leave and crash-removal as real cluster transitions:
-  // each mints a RingEpoch (the vnode→owner map), announces it on the
-  // wire (EpochAnnounceMsg — droppable like any message), and drives a
+  // each mints a RingEpoch (the vnode→owner map) and drives a
   // rebalance.  Per claimed (partition, new owner), the owner syncs
   // from every source via the same Merkle walks steady-state AAE uses
   // — bytes proportional to divergence, digests only when converged —
   // and the partition's ROUTING flips only once every owner walked
   // every source (kTransferring → kOwned).  Until the flip, writes
   // dual-apply to old and new owners (replication_targets).  All
-  // methods here are control-plane: legal at quiescence; on a threaded
+  // methods here are control-plane: legal at quiescence, and they send
+  // nothing (transfer walks are metered, not sent); on a threaded
   // transport the membership transition itself runs stop-the-world.
 
   [[nodiscard]] const membership::MembershipTable& membership() const noexcept {
@@ -1074,13 +1072,9 @@ class Cluster {
   [[nodiscard]] const membership::RebalanceStats& rebalance_stats() const noexcept {
     return rebalance_.stats();
   }
-  /// Highest epoch replica `r` has heard announced (0 until one lands).
-  [[nodiscard]] std::uint64_t known_epoch(ReplicaId r) const {
-    return known_epoch_.at(r);
-  }
 
-  /// Adds provisioned replica `node` to the ring: mints the join epoch,
-  /// plans the transfers its claimed partitions need, and announces.
+  /// Adds provisioned replica `node` to the ring: mints the join epoch
+  /// and plans the transfers its claimed partitions need.
   /// Routing does NOT move to `node` until its transfers complete — see
   /// rebalance_step / complete_rebalance.  A REJOINING id (member of
   /// some past epoch) passes through the clock-incarnation bump first,
@@ -1136,7 +1130,6 @@ class Cluster {
           transfer_walk(w.partition, w.owner, w.source);
       if (rebalance_.note_walked(w.partition, w.owner, w.source, cost)) {
         obs::membership_metrics().transfers_completed.inc();
-        announce_transfer_done(w.partition, w.owner);
       }
       ++walked;
     }
@@ -1176,30 +1169,6 @@ class Cluster {
     membership::RebalanceStats out;
     with_world_stopped([&] { out = complete_rebalance(); });
     return out;
-  }
-
-  /// Routes a client request that arrived at `at` under whatever ring
-  /// the client believed: `at` coordinates when it is an alive current
-  /// owner of `key`; otherwise the request forwards to the first alive,
-  /// reachable current owner — counted as a stale-epoch forward when
-  /// `at`'s announced-epoch knowledge lags the membership epoch (it
-  /// routed by an old ring).  nullopt when no current owner is
-  /// reachable from `at`.
-  [[nodiscard]] std::optional<ReplicaId> route_request(const Key& key,
-                                                       ReplicaId at) {
-    const std::vector<ReplicaId> pref = preference_list(key);
-    if (std::find(pref.begin(), pref.end(), at) != pref.end() &&
-        replicas_.at(at).alive()) {
-      return at;
-    }
-    for (const ReplicaId r : pref) {
-      if (!replicas_[r].alive() || !transport_->link_up(at, r)) continue;
-      if (known_epoch_.at(at) < membership_.epoch()) {
-        obs::membership_metrics().stale_epoch_forwarded.inc();
-      }
-      return r;
-    }
-    return std::nullopt;
   }
 
  private:
@@ -1253,10 +1222,10 @@ class Cluster {
   /// Installs freshly minted epoch `e`: target ring up, digest index
   /// rebuilt in the target's partition space (every key re-dirtied —
   /// the old space's partition ids are meaningless), transfer tasks
-  /// planned per (partition, new owner), epoch announced.  A change
-  /// arriving MID-rebalance supersedes the old plan: flip progress is
-  /// discarded and routing falls back to the active ring — nothing was
-  /// deleted, so no data is lost, only the flips are deferred.
+  /// planned per (partition, new owner).  A change arriving
+  /// MID-rebalance supersedes the old plan: flip progress is discarded
+  /// and routing falls back to the active ring — nothing was deleted,
+  /// so no data is lost, only the flips are deferred.
   void apply_new_epoch(const membership::RingEpoch& e,
                        std::optional<ReplicaId> excluded_source) {
     obs::membership_metrics().epochs_minted.inc();
@@ -1303,32 +1272,7 @@ class Cluster {
     }
     obs::membership_metrics().transfers_started.inc(tasks.size());
     rebalance_.plan(e.epoch, std::move(tasks));
-    announce_epoch(e);
     if (rebalance_.complete()) promote_target();  // no data to move
-  }
-
-  /// Broadcasts EpochAnnounceMsg from the first alive member to every
-  /// other provisioned replica.  Droppable like any message: a peer
-  /// that misses it keeps routing by its stale view until stale-epoch
-  /// forwarding (route_request) or a later announce catches it up.
-  void announce_epoch(const membership::RingEpoch& e) {
-    std::optional<ReplicaId> announcer;
-    for (const ReplicaId r : e.ring.members()) {
-      if (replicas_[r].alive()) {
-        announcer = r;
-        break;
-      }
-    }
-    if (!announcer.has_value()) return;
-    known_epoch_[*announcer] = std::max(known_epoch_[*announcer], e.epoch);
-    net::EpochAnnounceMsg msg;
-    msg.epoch = e.epoch;
-    msg.members = e.ring.members();
-    for (ReplicaId r = 0; r < replicas_.size(); ++r) {
-      if (r == *announcer) continue;
-      obs::membership_metrics().epochs_announced.inc();
-      send_message(*announcer, r, msg);
-    }
   }
 
   /// One transfer walk: the claiming owner's Merkle tree for
@@ -1380,27 +1324,6 @@ class Cluster {
     obs::membership_metrics().transfer_keys_shipped.inc(cost.keys_shipped);
     obs::membership_metrics().transfer_wire_bytes.inc(cost.wire_bytes);
     return cost;
-  }
-
-  /// A (partition, owner) task finished every walk: tell the members.
-  void announce_transfer_done(std::uint64_t partition, ReplicaId owner) {
-    const auto& transfers = rebalance_.transfers();
-    const auto it = std::find_if(
-        transfers.begin(), transfers.end(),
-        [&](const membership::PartitionTransfer& t) {
-          return t.partition == partition && t.owner == owner;
-        });
-    DVV_ASSERT(it != transfers.end());
-    net::TransferDoneMsg msg;
-    msg.epoch = rebalance_.target_epoch();
-    msg.partition = partition;
-    msg.owner = owner;
-    msg.keys_shipped = it->stats.keys_shipped;
-    msg.wire_bytes = it->stats.wire_bytes;
-    for (const ReplicaId r : membership_.members()) {
-      if (r == owner) continue;
-      send_message(owner, r, msg);
-    }
   }
 
   /// The whole plan reached kOwned: the target ring becomes the ACTIVE
@@ -1644,10 +1567,6 @@ class Cluster {
                            std::is_same_v<T, net::CoordReadRespView> ||
                            std::is_same_v<T, net::CoordWriteRespView>) {
         ++shard.drops.coord;  // the request machine rides it out
-      } else if constexpr (std::is_same_v<T, net::JoinReqView> ||
-                           std::is_same_v<T, net::EpochAnnounceView> ||
-                           std::is_same_v<T, net::TransferDoneView>) {
-        ++shard.drops.membership;  // re-announced / retried by the next epoch
       } else {
         ++shard.drops.sync;
       }
@@ -1737,21 +1656,6 @@ class Cluster {
       (void)shard.engine.on_write_ack(m.req, from);
     } else if constexpr (std::is_same_v<T, net::SyncReqView>) {
       run_sync_session(from, to, m.nonce);
-    } else if constexpr (std::is_same_v<T, net::JoinReqView>) {
-      // A member admits the join on the requester's behalf.  The
-      // threaded cluster admits joins through the admin path instead (a
-      // shard thread cannot stop the world it runs on); a duplicate or
-      // out-of-capacity request is ignored.
-      if (threaded_ == nullptr && m.node < replicas_.size() &&
-          !membership_.is_member(static_cast<ReplicaId>(m.node)) &&
-          replicas_.at(m.node).alive()) {
-        join_node(static_cast<ReplicaId>(m.node));
-      }
-    } else if constexpr (std::is_same_v<T, net::EpochAnnounceView> ||
-                         std::is_same_v<T, net::TransferDoneView>) {
-      // A TransferDone is accounting/visibility only — a completed
-      // transfer implies its target epoch is live somewhere.
-      known_epoch_[to] = std::max(known_epoch_[to], m.epoch);
     } else if constexpr (std::is_same_v<T, net::BatchView>) {
       // Transports deliver a batch as its sub-views; one can never
       // reach the applier.
@@ -1939,10 +1843,6 @@ class Cluster {
   std::optional<Ring> target_ring_;
   std::set<std::uint64_t> flipped_partitions_;
   membership::RebalanceEngine rebalance_;
-  /// Highest epoch each provisioned replica has heard announced —
-  /// per-element writes land on the element owner's shard (apply_one),
-  /// distinct memory locations, no lock needed.
-  std::vector<std::uint64_t> known_epoch_;
   sync::DigestIndex digest_index_;
   std::vector<Replica<M>> replicas_;
   /// One ShardState per execution shard (see the shard routing section

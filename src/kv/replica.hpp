@@ -31,6 +31,7 @@
 #include "sync/key_digest.hpp"
 #include "sync/key_observer.hpp"
 #include "util/assert.hpp"
+#include "util/pool.hpp"
 
 namespace dvv::kv {
 
@@ -374,7 +375,8 @@ class Replica {
   /// mints no fresh payload allocation per send — the scratch Writer and
   /// the destination both retain capacity.
   static void encode_state_into(const Stored& s, std::string& out) {
-    static thread_local codec::Writer* scratch = new codec::Writer;
+    static thread_local codec::Writer* scratch =
+        util::keep_reachable(new codec::Writer);
     scratch->clear();
     codec::encode(*scratch, s);
     out.assign(reinterpret_cast<const char*>(scratch->buffer().data()),

@@ -32,13 +32,9 @@ struct DeliveryDrops {
                                  ///  requests/replies, write acks) to a
                                  ///  dead endpoint — the request machine
                                  ///  absorbs these as missing replies
-  std::size_t membership = 0;    ///< join/epoch/transfer-done frames to a
-                                 ///  dead peer — re-announced or retried
-                                 ///  by the next transition
 
   [[nodiscard]] std::size_t total() const noexcept {
-    return replicate + hint_stash + hint_deliver + hint_ack + sync + coord +
-           membership;
+    return replicate + hint_stash + hint_deliver + hint_ack + sync + coord;
   }
 };
 

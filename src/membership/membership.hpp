@@ -11,9 +11,7 @@
 // vnode→owner map; see kv/ring.hpp for why a member's vnode points are
 // stable across epochs, which is what makes the movement minimal).
 // Epochs are immutable once minted: routing questions are answered
-// against a snapshot, never against mutating state, and an epoch number
-// on the wire (EpochAnnounceMsg) is enough for a peer to detect that
-// its view is stale.
+// against a snapshot, never against mutating state.
 //
 // Rebalancing
 // -----------
@@ -62,7 +60,7 @@ struct RingEpoch {
 
 /// The versioned member list.  Starts at epoch 0 with the seed members;
 /// every change appends a new epoch.  The table never forgets an epoch:
-/// stale-epoch forwarding and the tests want to name old versions.
+/// the rejoin check (was_member) and the tests name old versions.
 class MembershipTable {
  public:
   MembershipTable(std::vector<kv::ReplicaId> seed_members,
@@ -180,7 +178,7 @@ class RebalanceEngine {
                    kv::ReplicaId source, const TransferStats& cost);
 
   /// Partitions whose every task reached kOwned since the last call —
-  /// the cluster flips their routing (and announces TransferDone).
+  /// the cluster flips their routing.
   [[nodiscard]] std::vector<std::uint64_t> take_flippable();
 
   /// True once every task is kOwned (the cluster then promotes the

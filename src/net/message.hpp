@@ -4,7 +4,7 @@
 //
 // Everything that crosses between replicas — put fan-out, hinted
 // handoff, hint delivery and its ack, anti-entropy session initiation,
-// quorum coordination, membership — is one of these frames, serialized
+// quorum coordination — is one of these frames, serialized
 // through the same codec the clock encodings use (codec/wire.hpp).  The
 // transport layer (net/transport.hpp) carries only the encoded bytes,
 // so wire-byte metering is the size of real encodings, not a modelled
@@ -29,9 +29,8 @@
 //
 // XMsg and XView name the two forms of frame X.  encode, the strict
 // decoder, wire_size_of, materialize and as_view are walks over the
-// field list, so a layout cannot drift between them; only the
-// EpochAnnounce member list and the Batch frame list have hand-written
-// field codecs.
+// field list, so a layout cannot drift between them; only the Batch
+// frame list has a hand-written field codec.
 //
 // The hot message path adds two throughput layers (see README "Message
 // path"):
@@ -67,31 +66,17 @@ namespace dvv::net {
 
 using NodeId = core::ActorId;
 
-/// A variable-length field of a decoded frame: `count` elements whose
-/// encodings are `bytes`, a view into the received buffer.  The strict
-/// decoder has validated every element.
-struct WireRegion {
+/// A decoded Batch frame list: `count` length-prefixed non-batch
+/// sub-frames whose encodings are `bytes`, a view into the received
+/// buffer.  The strict decoder has validated every sub-frame.
+struct FrameRegion {
   std::uint64_t count = 0;
   std::string_view bytes;
 };
-/// A decoded EpochAnnounce member list: strictly ascending id varints.
-struct MemberRegion : WireRegion {};
-/// A decoded Batch frame list: length-prefixed non-batch sub-frames.
-struct FrameRegion : WireRegion {};
-
-namespace detail {
-template <typename Bytes>
-inline constexpr bool kOwned = std::is_same_v<Bytes, std::string>;
-}  // namespace detail
-
-/// An epoch's member ids: owned (strictly ascending) or decoded.
-template <typename Bytes>
-using MemberList = std::conditional_t<detail::kOwned<Bytes>,
-                                      std::vector<NodeId>, MemberRegion>;
 
 /// A batch's sub-frame encodings: owned or decoded.
 template <typename Bytes>
-using FrameList = std::conditional_t<detail::kOwned<Bytes>,
+using FrameList = std::conditional_t<std::is_same_v<Bytes, std::string>,
                                      std::vector<std::string>, FrameRegion>;
 
 /// Put replication fan-out: merge `state` (the coordinator's post-write
@@ -208,51 +193,6 @@ struct CoordWriteResp {
   static auto fields(auto& m) { return std::tie(m.req); }
 };
 
-// ---- elastic membership (src/membership, kv/cluster.hpp) -------------------
-//
-// Membership changes travel as typed frames like everything else: a
-// joining node asks in with a JoinReqMsg, every minted epoch is
-// disseminated as an EpochAnnounceMsg (droppable/partitionable like any
-// other message — stale receivers are what the stale-epoch forwarding
-// path exists for), and a completed partition transfer is broadcast as
-// a TransferDoneMsg so peers can account the rebalance.
-
-/// Asks the destination (a current member) to admit `node` into the
-/// ring: the receiving member drives the join through its
-/// MembershipTable and answers with an EpochAnnounceMsg broadcast.
-template <typename Bytes>
-struct JoinReq {
-  NodeId node = 0;
-  static auto fields(auto& m) { return std::tie(m.node); }
-};
-
-/// Disseminates one minted ring epoch: the epoch number and the full
-/// member list it routes over.  `members` is canonical — strictly
-/// ascending (sorted, distinct) — and the strict decoder rejects any
-/// other order, so a frame cannot smuggle two rings that hash alike.
-template <typename Bytes>
-struct EpochAnnounce {
-  std::uint64_t epoch = 0;
-  MemberList<Bytes> members;  ///< strictly ascending
-  static auto fields(auto& m) { return std::tie(m.epoch, m.members); }
-};
-
-/// Announces that `owner` finished syncing claimed `partition` for
-/// `epoch` (its task reached kOwned): the transfer effort rides along
-/// for membership.* accounting at every peer.
-template <typename Bytes>
-struct TransferDone {
-  std::uint64_t epoch = 0;
-  std::uint64_t partition = 0;
-  NodeId owner = 0;
-  std::uint64_t keys_shipped = 0;
-  std::uint64_t wire_bytes = 0;
-  static auto fields(auto& m) {
-    return std::tie(m.epoch, m.partition, m.owner, m.keys_shipped,
-                    m.wire_bytes);
-  }
-};
-
 /// Composite frame: `count` sub-messages for one destination under one
 /// header, each sub-frame a complete encoding of a NON-batch message
 /// (no nesting).  SimTransport assembles one per maximal run of
@@ -274,8 +214,7 @@ using MessageOf =
     std::variant<Replicate<Bytes>, Hint<Bytes>, HintDeliver<Bytes>,
                  HintAck<Bytes>, SyncReq<Bytes>, SyncResp<Bytes>,
                  CoordReadReq<Bytes>, CoordReadResp<Bytes>,
-                 CoordWriteReq<Bytes>, CoordWriteResp<Bytes>, JoinReq<Bytes>,
-                 EpochAnnounce<Bytes>, TransferDone<Bytes>, Batch<Bytes>>;
+                 CoordWriteReq<Bytes>, CoordWriteResp<Bytes>, Batch<Bytes>>;
 
 using Message = MessageOf<std::string>;
 using MessageView = MessageOf<std::string_view>;
@@ -300,12 +239,6 @@ using CoordWriteReqMsg = CoordWriteReq<std::string>;
 using CoordWriteReqView = CoordWriteReq<std::string_view>;
 using CoordWriteRespMsg = CoordWriteResp<std::string>;
 using CoordWriteRespView = CoordWriteResp<std::string_view>;
-using JoinReqMsg = JoinReq<std::string>;
-using JoinReqView = JoinReq<std::string_view>;
-using EpochAnnounceMsg = EpochAnnounce<std::string>;
-using EpochAnnounceView = EpochAnnounce<std::string_view>;
-using TransferDoneMsg = TransferDone<std::string>;
-using TransferDoneView = TransferDone<std::string_view>;
 using BatchMsg = Batch<std::string>;
 using BatchView = Batch<std::string_view>;
 
@@ -342,8 +275,6 @@ inline constexpr std::size_t kMessageTagOf =
 template <typename T>
 concept Frame = kMessageTagOf<T> != std::variant_npos;
 
-inline constexpr std::size_t kEpochAnnounceTag =
-    kMessageTagOf<EpochAnnounceMsg>;
 inline constexpr std::size_t kBatchTag = kMessageTagOf<BatchMsg>;
 
 // ---- codec -----------------------------------------------------------------
@@ -398,20 +329,9 @@ void put_field(W& w, std::string_view v) {
   w.bytes(v);
 }
 template <typename W>
-void put_field(W& w, const WireRegion& v) {
+void put_field(W& w, const FrameRegion& v) {
   w.varint(v.count);
   w.raw(v.bytes);
-}
-template <typename W>
-void put_field(W& w, const std::vector<NodeId>& members) {
-  w.varint(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    // The wire form is canonical-only; encoding an unsorted list would
-    // mint bytes the strict decoder rejects.
-    DVV_ASSERT_MSG(i == 0 || members[i - 1] < members[i],
-                   "net: epoch members must be strictly ascending");
-    w.varint(members[i]);
-  }
 }
 template <typename W>
 void put_field(W& w, const std::vector<std::string>& frames) {
@@ -431,25 +351,6 @@ void put_field(W& w, const std::vector<std::string>& frames) {
 [[nodiscard]] inline bool take_field(codec::StrictReader& r,
                                      std::string_view& v) {
   return r.bytes_view(v);
-}
-[[nodiscard]] inline bool take_field(codec::StrictReader& r, MemberRegion& v) {
-  if (!r.varint(v.count)) return false;
-  // A ring is never empty; every member varint costs >= 1 byte, so a
-  // count beyond the remaining bytes is an overclaim — reject before
-  // walking anything.
-  if (v.count == 0 || v.count > r.remaining()) return false;
-  const std::size_t begin = r.position();
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < v.count; ++i) {
-    std::uint64_t member = 0;
-    if (!r.varint(member)) return false;
-    // Canonical form only: strictly ascending ids (sorted AND distinct),
-    // so equal member sets have equal encodings.
-    if (i > 0 && member <= prev) return false;
-    prev = member;
-  }
-  v.bytes = r.viewed_since(begin);
-  return true;
 }
 [[nodiscard]] inline bool take_field(codec::StrictReader& r, FrameRegion& v);
 
@@ -552,16 +453,6 @@ inline void convert_field(std::string& to, std::string_view from) {
 inline void convert_field(std::string_view& to, const std::string& from) {
   to = from;
 }
-inline void convert_field(std::vector<NodeId>& to, const MemberRegion& from) {
-  to.reserve(static_cast<std::size_t>(from.count));
-  codec::StrictReader r(from.bytes.data(), from.bytes.size());
-  for (std::uint64_t i = 0; i < from.count; ++i) {
-    std::uint64_t member = 0;
-    const bool ok = r.varint(member);
-    DVV_ASSERT_MSG(ok, "net: materializing an unvalidated epoch view");
-    to.push_back(member);
-  }
-}
 inline void convert_field(std::vector<std::string>& to,
                           const FrameRegion& from) {
   to.reserve(static_cast<std::size_t>(from.count));
@@ -603,14 +494,14 @@ template <typename To, typename From>
 }
 
 /// Non-owning view of an owned message: byte fields alias `msg`'s own
-/// strings (valid while `msg` lives unmodified).  nullopt for
-/// EpochAnnounceMsg and BatchMsg, whose view forms are wire regions an
-/// owned member or frame list does not have — those cross as real bytes.
+/// strings (valid while `msg` lives unmodified).  nullopt for BatchMsg,
+/// whose view form is a wire region an owned frame list does not have —
+/// a batch crosses as real bytes.
 [[nodiscard]] inline std::optional<MessageView> as_view(const Message& msg) {
   return std::visit(
       [](const auto& m) -> std::optional<MessageView> {
         constexpr std::size_t tag = kMessageTagOf<std::decay_t<decltype(m)>>;
-        if constexpr (tag == kEpochAnnounceTag || tag == kBatchTag) {
+        if constexpr (tag == kBatchTag) {
           return std::nullopt;
         } else {
           using View = std::variant_alternative_t<tag, MessageView>;
@@ -659,7 +550,8 @@ template <typename... Ts>
 inline void encode_into(const Message& msg, std::string& out) {
   // Leaky thread_local scratch: shared_ptr releases during static
   // destruction must never race a destroyed writer.
-  static thread_local codec::Writer* scratch = new codec::Writer;
+  static thread_local codec::Writer* scratch =
+      util::keep_reachable(new codec::Writer);
   scratch->clear();
   encode(*scratch, msg);
   out.assign(reinterpret_cast<const char*>(scratch->buffer().data()),
@@ -769,7 +661,8 @@ struct NetPools {
 };
 
 [[nodiscard]] inline NetPools& net_pools() {
-  static thread_local NetPools* pools = new NetPools;  // leaked by design
+  static thread_local NetPools* pools =
+      util::keep_reachable(new NetPools);  // leaked by design
   return *pools;
 }
 

@@ -319,9 +319,9 @@ class InlineTransport final : public Transport {
       deliver(seq, from, to, {&*view, 1}, size, stats_, decoded);
       return;
     }
-    // EpochAnnounce and Batch frames have no aliasing view: they cross
-    // as real bytes, decoded like any received frame.  Both buffers are
-    // locals because the sink may send, re-entering this transport.
+    // A Batch frame has no aliasing view: it crosses as real bytes,
+    // decoded like any received frame.  Both buffers are locals because
+    // the sink may send, re-entering this transport.
     const std::string bytes = encode_to_bytes(*msg);
     std::vector<MessageView> batch;
     (void)deliver_frame(seq, from, to, bytes, stats_, batch);

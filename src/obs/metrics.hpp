@@ -9,7 +9,7 @@
 //
 // This header deliberately knows nothing about net/kv/sync/store types
 // (obs sits directly above util/).  The per-message-type counter
-// arrays are sized and named here; net/transport.hpp static_asserts
+// arrays are sized and named here; net/message.hpp static_asserts
 // that kMessageTypes matches the Message variant, so adding a message
 // type without extending the catalog is a compile error.
 //
@@ -28,12 +28,12 @@
 namespace dvv::obs {
 
 /// Message-type axis of the net.* counters, in net::Message variant
-/// order (checked by a static_assert in net/transport.hpp).
-inline constexpr std::size_t kMessageTypes = 14;
+/// order (checked by a static_assert in net/message.hpp).
+inline constexpr std::size_t kMessageTypes = 11;
 inline constexpr const char* kMessageTypeNames[kMessageTypes] = {
-    "replicate", "hint",     "hint_deliver", "hint_ack",   "sync_req",
-    "sync_resp", "read_req", "read_resp",    "write_req",  "write_resp",
-    "join_req",  "epoch_announce", "transfer_done", "batch"};
+    "replicate", "hint",     "hint_deliver", "hint_ack",  "sync_req",
+    "sync_resp", "read_req", "read_resp",    "write_req", "write_resp",
+    "batch"};
 
 #if defined(DVV_OBS_DISABLED)
 struct NoopCounter {
@@ -189,7 +189,6 @@ struct MembershipMetrics {
   MetricCounter leaves;            ///< membership.leaves (graceful)
   MetricCounter removals;          ///< membership.removals (crash-removal)
   MetricCounter epochs_minted;     ///< membership.epochs_minted
-  MetricCounter epochs_announced;  ///< membership.epochs_announced (frames sent)
   MetricCounter transfers_started;    ///< membership.transfers_started
   MetricCounter transfers_completed;  ///< membership.transfers_completed
   MetricCounter partitions_flipped;   ///< membership.partitions_flipped
@@ -198,9 +197,6 @@ struct MembershipMetrics {
   /// Hints whose parked owner lost the partition and were redirected to
   /// a current owner instead of misdelivered (satellite regression).
   MetricCounter hints_retargeted;  ///< membership.hints_retargeted
-  /// Requests routed at a replica whose known epoch lagged the current
-  /// one and were forwarded to a current-ring coordinator.
-  MetricCounter stale_epoch_forwarded;  ///< membership.stale_epoch_forwarded
   /// Rejoining ids pushed through the clock-incarnation bump so
   /// pre-departure dots are never reused.
   MetricCounter rejoin_incarnations;  ///< membership.rejoin_incarnations

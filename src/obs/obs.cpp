@@ -460,14 +460,12 @@ MembershipMetrics& membership_metrics() {
     out.leaves = r.counter("membership.leaves");
     out.removals = r.counter("membership.removals");
     out.epochs_minted = r.counter("membership.epochs_minted");
-    out.epochs_announced = r.counter("membership.epochs_announced");
     out.transfers_started = r.counter("membership.transfers_started");
     out.transfers_completed = r.counter("membership.transfers_completed");
     out.partitions_flipped = r.counter("membership.partitions_flipped");
     out.transfer_keys_shipped = r.counter("membership.transfer_keys_shipped");
     out.transfer_wire_bytes = r.counter("membership.transfer_wire_bytes");
     out.hints_retargeted = r.counter("membership.hints_retargeted");
-    out.stale_epoch_forwarded = r.counter("membership.stale_epoch_forwarded");
     out.rejoin_incarnations = r.counter("membership.rejoin_incarnations");
 #endif
     return out;

@@ -317,7 +317,7 @@ struct Response {
       for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t m = 0;
         if (!r.varint(m)) return false;
-        // Strictly ascending, mirroring the EpochAnnounce wire rule.
+        // Strictly ascending: one encoding per member set.
         if (!out.members.empty() && m <= out.members.back()) return false;
         out.members.push_back(m);
       }

@@ -193,6 +193,11 @@ void Server::run_loop(std::size_t shard) {
       if ((events[i].events & EPOLLIN) != 0) handle_readable(shard, id);
     }
   }
+  // A loop still busy with a batch begun before stop() can see halt_
+  // without ever having seen stopping_: close what it still holds.
+  while (!loop.conns.empty()) {
+    close_connection(shard, loop.conns.begin()->first);
+  }
 }
 
 void Server::handle_accept(std::size_t shard) {

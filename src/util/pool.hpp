@@ -34,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <new>
 #include <vector>
 
@@ -210,5 +211,22 @@ class RecyclePool {
   std::size_t max_idle_;
   AllocHook miss_hook_ = nullptr;
 };
+
+/// Records `p` in a list that is never freed and returns it.  For
+/// per-thread objects that are never freed on purpose (a shared_ptr
+/// released during static destruction must still find its pool): the
+/// lifetime is unchanged, but the object stays reachable after its
+/// thread exits, so a leak checker does not report it.  Cold path:
+/// once per object.
+template <typename T>
+[[nodiscard]] T* keep_reachable(T* p) {
+  static std::mutex mu;
+  // Never freed, so it outlives every static destructor.
+  // dvv-lint: allow(no-alloc-in-hot-path)
+  static auto* const roots = new std::vector<const void*>;
+  const std::lock_guard<std::mutex> lock(mu);
+  roots->push_back(p);
+  return p;
+}
 
 }  // namespace dvv::util

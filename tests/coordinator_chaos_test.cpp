@@ -407,4 +407,45 @@ TEST(AsyncReplay, OracleStaysLockstepDvvExactServerVvLosesUpdates) {
       << "the Fig. 1b scheme must lose racing updates under async chaos";
 }
 
+TEST(AsyncReplay, ControlPlaneStepsDrawNothingFromTheFaultStream) {
+  // The oracle's subject and truth stores share one fault seed, and a
+  // fault is drawn per sent message.  Both see the same weather only
+  // while they send the same messages, so a step whose traffic depends
+  // on replica state (and so on the mechanism) would shift every later
+  // drop, duplicate and delay.  Anti-entropy rounds and membership
+  // transitions must therefore send nothing.
+  for (const char* mechanism : {"dvvset", "causal-history"}) {
+    SCOPED_TRACE(mechanism);
+    const auto trace = dvv::workload::generate_trace(async_spec(11), 3);
+    const auto store = dvv::kv::make_store(chaos_config(11, mechanism));
+    dvv::net::Transport& net = store->transport();
+    dvv::workload::StoreReplayer replayer(*store, trace);
+    std::size_t rounds = 0;
+    for (const dvv::workload::TraceOp& op : trace.ops) {
+      const std::uint64_t sent = net.stats().sent;
+      replayer.step(op);
+      if (op.kind == dvv::workload::TraceOp::Kind::kAntiEntropy) {
+        ++rounds;
+        EXPECT_EQ(net.stats().sent, sent) << "anti-entropy round " << rounds;
+      }
+    }
+    ASSERT_GT(rounds, 0u);
+
+    // Membership transitions on the drained store.
+    (void)replayer.finish();
+    store->heal();
+    for (ReplicaId r = 0; r < kServers; ++r) {
+      if (!store->alive(r)) store->set_alive(r, true);
+    }
+    ASSERT_TRUE(net.idle());
+    const std::uint64_t sent = net.stats().sent;
+    const ReplicaId node = kServers - 1;
+    ASSERT_TRUE(store->leave_node(node));
+    EXPECT_GT(store->complete_rebalance().transfers_planned, 0u);
+    ASSERT_TRUE(store->join_node(node));
+    EXPECT_GT(store->complete_rebalance().transfers_planned, 0u);
+    EXPECT_EQ(net.stats().sent, sent);
+  }
+}
+
 }  // namespace

@@ -7,8 +7,7 @@
 // every deployment — this test makes that a loud diff), and the cluster
 // integration: join/leave/remove with Merkle-walk rebalancing,
 // dual-apply during the transfer window, hint re-targeting across
-// ownership changes, stale-epoch forwarding, and the rejoin
-// clock-incarnation bump.
+// ownership changes, and the rejoin clock-incarnation bump.
 #include "membership/membership.hpp"
 
 #include <gtest/gtest.h>
@@ -425,43 +424,6 @@ TEST(MembershipCluster, StaleOwnerHintIsRedirectedNotMisdelivered) {
   (void)cluster.anti_entropy_digest();
   EXPECT_EQ(cluster.anti_entropy_digest().stats.keys_shipped, 0u);
   expect_fully_replicated(cluster, {{key, "parked-write"}});
-}
-
-TEST(MembershipCluster, StaleEpochRequestIsForwardedAndCounted) {
-  const MetricsGuard metrics(true);
-  ClusterConfig cfg = elastic_config(4, 6);
-  cfg.transport.kind = dvv::net::TransportKind::kSim;
-  cfg.transport.sim.auto_settle = true;
-  Cluster<DvvMechanism> cluster(cfg, {});
-  seed_keys(cluster, 16);
-
-  // Provisioned node 5 misses the join announcement behind a cut link,
-  // so its epoch knowledge stays at 0 while the ring moves to 1.
-  cluster.partition({{0, 1, 2, 3, 4}, {5}}, "announce-loss");
-  cluster.join_node(4);
-  (void)cluster.complete_rebalance();
-  cluster.heal();
-  ASSERT_EQ(cluster.ring_epoch(), 1u);
-  ASSERT_EQ(cluster.known_epoch(5), 0u);
-
-  // A request arriving at the lagging node forwards to a current owner
-  // and is counted as a stale-epoch forward.
-  const Key key = "mem-0";
-  const std::uint64_t stale_before =
-      dvv::obs::membership_metrics().stale_epoch_forwarded.value();
-  const auto routed = cluster.route_request(key, 5);
-  ASSERT_TRUE(routed.has_value());
-  const auto pref = cluster.preference_list(key);
-  EXPECT_NE(std::find(pref.begin(), pref.end(), *routed), pref.end());
-  EXPECT_EQ(dvv::obs::membership_metrics().stale_epoch_forwarded.value(),
-            stale_before + 1);
-
-  // A current-epoch owner coordinates in place: no forward, no count.
-  const auto direct = cluster.route_request(key, pref[0]);
-  ASSERT_TRUE(direct.has_value());
-  EXPECT_EQ(*direct, pref[0]);
-  EXPECT_EQ(dvv::obs::membership_metrics().stale_epoch_forwarded.value(),
-            stale_before + 1);
 }
 
 TEST(MembershipCluster, EmptyClusterTransitionsFlipImmediately) {

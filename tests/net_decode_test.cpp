@@ -50,9 +50,6 @@ std::vector<Message> specimens() {
       CoordReadRespMsg{5, true, state},
       CoordWriteReqMsg{6, "cart", state},
       CoordWriteRespMsg{6},
-      JoinReqMsg{7},
-      EpochAnnounceMsg{3, {0, 1, 2, 7}},
-      TransferDoneMsg{3, 0x9ae16a3bULL, 7, 12, 4096},
       batch,
   };
 }
@@ -79,9 +76,9 @@ TEST(NetDecode, EveryTypeRoundTripsCanonically) {
     EXPECT_EQ(wire_size(*view), bytes.size());
 
     // ...and so does the inline loopback's aliasing view, materialized.
-    // EpochAnnounce and Batch have none: they cross inline as bytes.
+    // Batch has none: it crosses inline as bytes.
     const std::optional<MessageView> alias = as_view(msg);
-    ASSERT_EQ(alias.has_value(), tag != kEpochAnnounceTag && tag != kBatchTag)
+    ASSERT_EQ(alias.has_value(), tag != kBatchTag)
         << "type index " << tag;
     if (alias.has_value()) {
       EXPECT_EQ(encode_to_bytes(materialize(*alias)), bytes)
@@ -116,40 +113,10 @@ TEST(NetDecode, RejectsTrailingGarbage) {
 
 TEST(NetDecode, RejectsUnknownTag) {
   EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x63')).has_value());
-  // 0x0e is the first out-of-range tag (0x0d is BatchMsg now — a bare
-  // tag with no count is rejected as a truncated batch, not unknown).
-  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0e')).has_value());
-  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0d')).has_value());
-}
-
-TEST(NetDecode, RejectsMalformedEpochAnnounce) {
-  // Tag 11 = EpochAnnounceMsg{epoch, count, members...}.  The member
-  // list is the first variable-count field a peer controls: every
-  // malformed shape must come back nullopt, never assert.
-  const auto reject = [](const std::string& body) {
-    EXPECT_FALSE(try_decode_from_bytes('\x0b' + body).has_value()) << body;
-  };
-  reject(std::string("\x03\x00", 2));              // empty member list
-  reject(std::string("\x03\x02\x01\x01", 4));      // duplicate members
-  reject(std::string("\x03\x02\x02\x01", 4));      // unsorted members
-  reject(std::string("\x03\x09\x00\x01", 4));      // count overclaims bytes
-  reject(std::string("\x03\x02\x00", 3));          // truncated member list
-  // The canonical form is accepted and round-trips.
-  const std::string good('\x0b' + std::string("\x03\x03\x00\x01\x07", 5));
-  const std::optional<Message> ok = try_decode_from_bytes(good);
-  ASSERT_TRUE(ok.has_value());
-  const auto& m = std::get<EpochAnnounceMsg>(*ok);
-  EXPECT_EQ(m.epoch, 3u);
-  EXPECT_EQ(m.members, (std::vector<NodeId>{0, 1, 7}));
-  EXPECT_EQ(encode_to_bytes(*ok), good);
-}
-
-TEST(NetDecode, RejectsTruncatedMembershipFrames) {
-  // JoinReq (tag 10) with no node; TransferDone (tag 12) cut after the
-  // partition field.
+  // 0x0b is the first out-of-range tag (0x0a is BatchMsg — a bare tag
+  // with no count is rejected as a truncated batch, not unknown).
+  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0b')).has_value());
   EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0a')).has_value());
-  EXPECT_FALSE(
-      try_decode_from_bytes(std::string("\x0c\x03\x2a", 3)).has_value());
 }
 
 TEST(NetDecode, RejectsNonCanonicalVarint) {
@@ -207,9 +174,28 @@ TEST(NetDecode, RejectTaxonomyCounters) {
   EXPECT_EQ(count("net.decode_reject"), base_total + 3);
   EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 2);
 
+  // Tags 11 and 12 once carried membership frames; a body that parsed
+  // under those layouts still counts as .unknown, never as a frame type.
+  const auto by_type_total = [&count] {
+    std::uint64_t sum = 0;
+    for (const char* name : dvv::obs::kMessageTypeNames) {
+      sum += count(std::string("net.decode_reject.") + name);
+    }
+    return sum;
+  };
+  const std::uint64_t base_by_type = by_type_total();
+  EXPECT_FALSE(decode_or_reject(std::string("\x0b\x03\x03\x00\x01\x07", 6))
+                   .has_value());
+  EXPECT_FALSE(
+      decode_or_reject(std::string("\x0c\x03\x2a\x07\x0c\x80\x20", 7))
+          .has_value());
+  EXPECT_EQ(count("net.decode_reject"), base_total + 5);
+  EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 4);
+  EXPECT_EQ(by_type_total(), base_by_type);
+
   // A clean decode bumps nothing.
   EXPECT_TRUE(decode_or_reject(encode_to_bytes(specimens()[0])).has_value());
-  EXPECT_EQ(count("net.decode_reject"), base_total + 3);
+  EXPECT_EQ(count("net.decode_reject"), base_total + 5);
 
   reg.set_enabled(was_enabled);
 }

@@ -124,9 +124,6 @@ void mint_wire(const fs::path& dir) {
       {"read_resp", CoordReadRespMsg{5, true, state}},
       {"write_req", CoordWriteReqMsg{6, "cart", state}},
       {"write_resp", CoordWriteRespMsg{6}},
-      {"join_req", JoinReqMsg{7}},
-      {"epoch_announce", EpochAnnounceMsg{3, {0, 1, 2, 7}}},
-      {"transfer_done", TransferDoneMsg{3, 0x9ae16a3bULL, 7, 12, 4096}},
   };
   for (const auto& [name, msg] : msgs) {
     write_file(dir / (std::string("msg_") + name + ".bin"),
@@ -288,17 +285,6 @@ void mint_crashers(const fs::path& dir) {
     write_file(dir / "wire_batch_count_overclaim.bin", frame_of({sub}, 3));
     write_file(dir / "wire_batch_trailing_junk.bin",
                frame_of({sub}, 1) + "junk");
-  }
-
-  // Membership-frame probes against the tag-11 decoder: an epoch
-  // announce whose member list is unsorted (ordering gate), and one
-  // whose member count claims more varints than the frame holds (claim
-  // cap before any allocation).  Both must come back nullopt.
-  {
-    write_file(dir / "wire_epoch_unsorted_members.bin",
-               std::string("\x0b\x03\x02\x02\x01", 5));
-    write_file(dir / "wire_epoch_count_overclaim.bin",
-               std::string("\x0b\x03\x7f\x00\x01", 5));
   }
 
   // Token with a flipped CRC byte, and one with a wrong format version:
