@@ -36,11 +36,6 @@ class Writer {
   /// Length-prefixed byte string.
   void bytes(std::string_view data) {
     varint(data.size());
-    raw(data);
-  }
-
-  /// Already-encoded bytes, appended verbatim (no length prefix).
-  void raw(std::string_view data) {
     const auto* p = reinterpret_cast<const std::byte*>(data.data());
     bytes_.insert(bytes_.end(), p, p + data.size());
   }
@@ -164,15 +159,6 @@ class StrictReader {
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
-  }
-
-  /// The region [begin, current position) as a view — how a composite
-  /// frame (net::BatchMsg) captures the raw bytes of an inner span it
-  /// just validated, without copying them.
-  [[nodiscard]] std::string_view viewed_since(std::size_t begin) const noexcept {
-    DVV_ASSERT(begin <= pos_);
-    return std::string_view(
-        reinterpret_cast<const char*>(data_.data() + begin), pos_ - begin);
   }
 
  private:

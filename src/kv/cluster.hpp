@@ -1524,22 +1524,18 @@ class Cluster {
     }
   }
 
-  /// Delivery sink: applies the envelope's views in order — one
-  /// message, or a batch's sub-messages, exactly the deliveries an
-  /// unbatched pump would have made.
+  /// Delivery sink: applies the envelope's one message.
   void on_message(const net::Envelope& envelope) {
     // Every per-delivery mutation below lands in the DESTINATION
     // replica's shard state — with a threaded transport this sink runs
     // on that shard's thread, so nothing here needs a lock.
     ShardState& shard = shard_for(envelope.to);
     const Stored* fast = static_cast<const Stored*>(envelope.decoded.get());
-    for (const net::MessageView& view : envelope.views) {
-      std::visit(
-          [&](const auto& m) {
-            apply_one(shard, envelope.from, envelope.to, m, fast);
-          },
-          view);
-    }
+    std::visit(
+        [&](const auto& m) {
+          apply_one(shard, envelope.from, envelope.to, m, fast);
+        },
+        envelope.view);
   }
 
   /// Applies one delivered message at its destination replica.  A
@@ -1656,10 +1652,6 @@ class Cluster {
       (void)shard.engine.on_write_ack(m.req, from);
     } else if constexpr (std::is_same_v<T, net::SyncReqView>) {
       run_sync_session(from, to, m.nonce);
-    } else if constexpr (std::is_same_v<T, net::BatchView>) {
-      // Transports deliver a batch as its sub-views; one can never
-      // reach the applier.
-      DVV_ASSERT_MSG(false, "kv: unexpanded batch view in apply_one");
     } else {
       static_assert(std::is_same_v<T, net::SyncRespView>);
       CompletedSync cs;

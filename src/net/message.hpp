@@ -29,19 +29,12 @@
 //
 // XMsg and XView name the two forms of frame X.  encode, the strict
 // decoder, wire_size_of, materialize and as_view are walks over the
-// field list, so a layout cannot drift between them; only the Batch
-// frame list has a hand-written field codec.
+// field list, so a layout cannot drift between them.
 //
-// The hot message path adds two throughput layers (see README "Message
-// path"):
-//
-//   * BatchMsg — a composite frame coalescing several same-destination
-//     messages under one header, assembled by SimTransport at delivery
-//     time and strict-decoded like every other frame;
-//   * net pools — recycled Message objects, encode buffers and a
-//     freelist arena for shared_ptr control blocks, so the steady
-//     state allocates nothing per op.  Pool MISSES are observable as
-//     the net.alloc.* counters.
+// The hot message path recycles through the net pools (see README
+// "Message path"): Message objects, encode buffers and a freelist arena
+// for shared_ptr control blocks, so the steady state allocates nothing
+// per op.  Pool MISSES are observable as the net.alloc.* counters.
 #pragma once
 
 #include <array>
@@ -54,7 +47,6 @@
 #include <type_traits>
 #include <utility>
 #include <variant>
-#include <vector>
 
 #include "codec/wire.hpp"
 #include "core/types.hpp"
@@ -65,19 +57,6 @@
 namespace dvv::net {
 
 using NodeId = core::ActorId;
-
-/// A decoded Batch frame list: `count` length-prefixed non-batch
-/// sub-frames whose encodings are `bytes`, a view into the received
-/// buffer.  The strict decoder has validated every sub-frame.
-struct FrameRegion {
-  std::uint64_t count = 0;
-  std::string_view bytes;
-};
-
-/// A batch's sub-frame encodings: owned or decoded.
-template <typename Bytes>
-using FrameList = std::conditional_t<std::is_same_v<Bytes, std::string>,
-                                     std::vector<std::string>, FrameRegion>;
 
 /// Put replication fan-out: merge `state` (the coordinator's post-write
 /// encoding of `key`) into the destination replica.
@@ -193,20 +172,6 @@ struct CoordWriteResp {
   static auto fields(auto& m) { return std::tie(m.req); }
 };
 
-/// Composite frame: `count` sub-messages for one destination under one
-/// header, each sub-frame a complete encoding of a NON-batch message
-/// (no nesting).  SimTransport assembles one per maximal run of
-/// consecutive due same-link messages at delivery time, so a tick's
-/// fan-out crosses as a single envelope; the strict decoder validates
-/// every sub-frame before the batch is accepted, and rejects empty
-/// batches, nested batches, sub-frames with trailing bytes, and counts
-/// the input cannot hold.
-template <typename Bytes>
-struct Batch {
-  FrameList<Bytes> frames;  ///< each: full encoding of one sub-message
-  static auto fields(auto& m) { return std::tie(m.frames); }
-};
-
 /// The frame set over one byte-field type.  An alternative's index is
 /// its wire tag.
 template <typename Bytes>
@@ -214,7 +179,7 @@ using MessageOf =
     std::variant<Replicate<Bytes>, Hint<Bytes>, HintDeliver<Bytes>,
                  HintAck<Bytes>, SyncReq<Bytes>, SyncResp<Bytes>,
                  CoordReadReq<Bytes>, CoordReadResp<Bytes>,
-                 CoordWriteReq<Bytes>, CoordWriteResp<Bytes>, Batch<Bytes>>;
+                 CoordWriteReq<Bytes>, CoordWriteResp<Bytes>>;
 
 using Message = MessageOf<std::string>;
 using MessageView = MessageOf<std::string_view>;
@@ -239,8 +204,6 @@ using CoordWriteReqMsg = CoordWriteReq<std::string>;
 using CoordWriteReqView = CoordWriteReq<std::string_view>;
 using CoordWriteRespMsg = CoordWriteResp<std::string>;
 using CoordWriteRespView = CoordWriteResp<std::string_view>;
-using BatchMsg = Batch<std::string>;
-using BatchView = Batch<std::string_view>;
 
 // The obs catalog's per-message-type counter axes (sent, delivered,
 // decode_reject) must track the Message variant exactly; obs cannot
@@ -274,8 +237,6 @@ inline constexpr std::size_t kMessageTagOf =
 /// One frame alternative, owned or view.
 template <typename T>
 concept Frame = kMessageTagOf<T> != std::variant_npos;
-
-inline constexpr std::size_t kBatchTag = kMessageTagOf<BatchMsg>;
 
 // ---- codec -----------------------------------------------------------------
 //
@@ -313,7 +274,6 @@ struct SizeCounter {
   void bytes(std::string_view v) {
     n += codec::varint_size(v.size()) + v.size();
   }
-  void raw(std::string_view v) { n += v.size(); }
 };
 
 template <typename W>
@@ -327,16 +287,6 @@ void put_field(W& w, bool v) {
 template <typename W>
 void put_field(W& w, std::string_view v) {
   w.bytes(v);
-}
-template <typename W>
-void put_field(W& w, const FrameRegion& v) {
-  w.varint(v.count);
-  w.raw(v.bytes);
-}
-template <typename W>
-void put_field(W& w, const std::vector<std::string>& frames) {
-  w.varint(frames.size());
-  for (const std::string& frame : frames) w.bytes(frame);
 }
 
 [[nodiscard]] inline bool take_field(codec::StrictReader& r, std::uint64_t& v) {
@@ -352,7 +302,6 @@ void put_field(W& w, const std::vector<std::string>& frames) {
                                      std::string_view& v) {
   return r.bytes_view(v);
 }
-[[nodiscard]] inline bool take_field(codec::StrictReader& r, FrameRegion& v);
 
 /// Strict decode of alternative I's fields into `out`.
 template <std::size_t I>
@@ -396,52 +345,20 @@ void encode(W& w, const std::variant<Ts...>& msg) {
 /// the input buffer.  Returns nullopt on any malformation, leaving `r`
 /// mid-buffer.  When `tag_out` is non-null it receives the claimed
 /// variant index if one was readable and in range (rejection taxonomy
-/// for the decode_reject counters), else SIZE_MAX.  `allow_batch`
-/// false rejects BatchMsg frames — how sub-frame validation bans
-/// nested batches.
+/// for the decode_reject counters), else SIZE_MAX.
 [[nodiscard]] inline std::optional<MessageView> try_decode_view(
-    codec::StrictReader& r, std::size_t* tag_out = nullptr,
-    bool allow_batch = true) {
+    codec::StrictReader& r, std::size_t* tag_out = nullptr) {
   if (tag_out != nullptr) *tag_out = SIZE_MAX;
   std::uint64_t tag = 0;
   if (!r.varint(tag)) return std::nullopt;
   if (tag >= std::variant_size_v<MessageView>) return std::nullopt;
   if (tag_out != nullptr) *tag_out = static_cast<std::size_t>(tag);
-  if (tag == kBatchTag && !allow_batch) return std::nullopt;  // no nesting
   MessageView view;
   if (!detail::kFrameDecoders[tag](r, view)) return std::nullopt;
   return view;
 }
 
 namespace detail {
-
-/// Strict decode of a batch frame list at `r`: the count, then that many
-/// length-prefixed sub-frames, each a complete NON-batch message with no
-/// trailing bytes; appends the sub-views to `out` when non-null.
-/// Linear: fails at the first sub-frame the input cannot hold.
-[[nodiscard]] inline bool take_frames(codec::StrictReader& r, FrameRegion& v,
-                                      std::vector<MessageView>* out) {
-  if (!r.varint(v.count)) return false;
-  // An empty batch is never framed; a count beyond the remaining bytes
-  // is an overclaim (every sub-frame costs >= 2 bytes).
-  if (v.count == 0 || v.count > r.remaining()) return false;
-  const std::size_t begin = r.position();
-  for (std::uint64_t i = 0; i < v.count; ++i) {
-    std::string_view frame;
-    if (!r.bytes_view(frame)) return false;
-    codec::StrictReader sub(frame.data(), frame.size());
-    std::optional<MessageView> view =
-        try_decode_view(sub, nullptr, /*allow_batch=*/false);
-    if (!view.has_value() || !sub.done()) return false;
-    if (out != nullptr) out->push_back(*view);
-  }
-  v.bytes = r.viewed_since(begin);
-  return true;
-}
-
-inline bool take_field(codec::StrictReader& r, FrameRegion& v) {
-  return take_frames(r, v, nullptr);
-}
 
 template <typename T>
 void convert_field(T& to, const T& from) {
@@ -452,17 +369,6 @@ inline void convert_field(std::string& to, std::string_view from) {
 }
 inline void convert_field(std::string_view& to, const std::string& from) {
   to = from;
-}
-inline void convert_field(std::vector<std::string>& to,
-                          const FrameRegion& from) {
-  to.reserve(static_cast<std::size_t>(from.count));
-  codec::StrictReader r(from.bytes.data(), from.bytes.size());
-  for (std::uint64_t i = 0; i < from.count; ++i) {
-    std::string_view frame;
-    const bool ok = r.bytes_view(frame);
-    DVV_ASSERT_MSG(ok, "net: materializing an unvalidated batch view");
-    to.emplace_back(frame);
-  }
 }
 
 /// `from` as frame `To` — the same frame over the other byte-field
@@ -494,20 +400,14 @@ template <typename To, typename From>
 }
 
 /// Non-owning view of an owned message: byte fields alias `msg`'s own
-/// strings (valid while `msg` lives unmodified).  nullopt for BatchMsg,
-/// whose view form is a wire region an owned frame list does not have —
-/// a batch crosses as real bytes.
-[[nodiscard]] inline std::optional<MessageView> as_view(const Message& msg) {
+/// strings (valid while `msg` lives unmodified).
+[[nodiscard]] inline MessageView as_view(const Message& msg) {
   return std::visit(
-      [](const auto& m) -> std::optional<MessageView> {
+      [](const auto& m) -> MessageView {
         constexpr std::size_t tag = kMessageTagOf<std::decay_t<decltype(m)>>;
-        if constexpr (tag == kBatchTag) {
-          return std::nullopt;
-        } else {
-          using View = std::variant_alternative_t<tag, MessageView>;
-          return MessageView(std::in_place_index<tag>,
-                             detail::convert_frame<View>(m));
-        }
+        using View = std::variant_alternative_t<tag, MessageView>;
+        return MessageView(std::in_place_index<tag>,
+                           detail::convert_frame<View>(m));
       },
       msg);
 }
@@ -613,26 +513,6 @@ inline void note_decode_reject(std::size_t tag) {
   if (view.has_value() && r.done()) return view;
   note_decode_reject(tag);
   return std::nullopt;
-}
-
-/// Strict decode of a full BatchMsg frame into its ordered sub-views
-/// (appended to `out`; views alias `bytes`).  Returns false — with `out`
-/// restored — on anything that is not a well-formed batch.  No
-/// rejection accounting: the caller (SimTransport's coalescer) falls
-/// back to delivering the sub-frames individually, where each failure
-/// is counted exactly as an unbatched delivery would count it.
-[[nodiscard]] inline bool try_decode_batch_views(
-    std::string_view bytes, std::vector<MessageView>& out) {
-  const std::size_t mark = out.size();
-  codec::StrictReader r(bytes.data(), bytes.size());
-  std::uint64_t tag = 0;
-  FrameRegion frames;
-  if (r.varint(tag) && tag == kBatchTag &&
-      detail::take_frames(r, frames, &out) && r.done()) {
-    return true;
-  }
-  out.resize(mark);
-  return false;
 }
 
 // ---- pooled messages and encode buffers ------------------------------------

@@ -1,7 +1,6 @@
 // dvv-hot-path: the per-message send/deliver path.  dvv_lint's
-// no-alloc-in-hot-path rule audits this file — encode buffers, queue
-// nodes and batch scratch all come from the net pools / retained
-// capacity, never the global allocator.
+// no-alloc-in-hot-path rule audits this file — encode buffers and queue
+// nodes come from the net pools, never the global allocator.
 #include "net/sim_transport.hpp"
 
 #include <cstdlib>
@@ -11,20 +10,6 @@
 #include "net/threaded_transport.hpp"
 
 namespace dvv::net {
-
-namespace {
-
-/// LEB128 append to a string — how the batch assembler writes the
-/// frame header and sub-frame length prefixes into retained capacity.
-void append_varint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
-}
-
-}  // namespace
 
 void SimTransport::send(NodeId from, NodeId to,
                         const std::shared_ptr<const Message>& msg,
@@ -81,65 +66,22 @@ void SimTransport::send(NodeId from, NodeId to,
                  Queued{seq, from, to, std::move(bytes)});
 }
 
-std::size_t SimTransport::deliver_run(std::size_t begin, std::size_t end) {
-  // Assemble the run into a REAL BatchMsg wire frame and strict-decode
-  // it whole — the batch path is the wire format, not a shortcut past
-  // it.  Sub-frame views alias batch_bytes_, valid through the sink
-  // call below.
-  batch_bytes_.clear();
-  append_varint(batch_bytes_, kBatchTag);    // tag
-  append_varint(batch_bytes_, end - begin);  // count
-  for (std::size_t k = begin; k < end; ++k) {
-    append_varint(batch_bytes_, due_[k].bytes->size());
-    batch_bytes_ += *due_[k].bytes;
-  }
-  batch_views_.clear();
-  if (!try_decode_batch_views(batch_bytes_, batch_views_)) {
-    // Hostile injected bytes rode the run: fall back to per-frame
-    // delivery — each frame decodes or is rejected on its own, exactly
-    // as an unbatched pump would have done.
-    std::size_t n = 0;
-    for (std::size_t k = begin; k < end; ++k) n += deliver_queued(due_[k]);
-    return n;
-  }
-  deliver(due_[begin].seq, due_[begin].from, due_[begin].to, batch_views_,
-          batch_bytes_.size(), stats_);
-  return end - begin;
-}
-
 std::size_t SimTransport::pump() {
   ++tick_;
-  // Phase 1: collect everything due at or before the new tick, in
-  // (due, seq) order, applying the partition cut per frame exactly as
-  // unbatched delivery would.  Sends triggered by the sinks below go to
-  // tick_ + 1 at the earliest, so they cannot join this tick's set.
-  due_.clear();
+  // Sends triggered by the sinks below go to tick_ + 1 at the earliest,
+  // so they cannot become due during this tick.
+  std::size_t delivered = 0;
   while (!queue_.empty() && queue_.begin()->first.first <= tick_) {
-    Queued queued = std::move(queue_.begin()->second);
+    const Queued queued = std::move(queue_.begin()->second);
     queue_.erase(queue_.begin());
     if (!link_up(queued.from, queued.to)) {
       ++stats_.partition_dropped;  // the partition cut it mid-flight
       met_.partition_dropped.inc();
       continue;
     }
-    due_.push_back(std::move(queued));
+    delivered += deliver_frame(queued.seq, queued.from, queued.to,
+                               *queued.bytes, stats_);
   }
-  // Phase 2: deliver in order, coalescing each maximal run of
-  // consecutive same-link frames into one batch envelope.
-  std::size_t delivered = 0;
-  std::size_t i = 0;
-  while (i < due_.size()) {
-    std::size_t j = i + 1;
-    if (config_.batch_delivery) {
-      while (j < due_.size() && due_[j].from == due_[i].from &&
-             due_[j].to == due_[i].to) {
-        ++j;
-      }
-    }
-    delivered += j - i == 1 ? deliver_queued(due_[i]) : deliver_run(i, j);
-    i = j;
-  }
-  due_.clear();  // release the buffers back to the pool promptly
   return delivered;
 }
 

@@ -12,20 +12,8 @@
 // Duplication enqueues a second, independently delayed copy sharing the
 // SAME immutable encoded buffer (one encode per send, however many
 // copies fly); drop discards at send time (the bytes still count as
-// sent: the sender paid for them).
-//
-// Batched delivery (config.batch_delivery, on by default): each tick's
-// due messages are collected in (due, seq) order, and every maximal run
-// of CONSECUTIVE same-(from, to) frames is assembled into one real
-// BatchMsg wire frame, strict-decoded whole, and delivered as a single
-// envelope carrying the ordered sub-message views.  This is
-// representation-only batching — the sub-messages are applied in
-// exactly the order, with exactly the decode outcomes and counter
-// increments, an unbatched run would produce (transport_batch_test
-// proves byte-identity across all six mechanisms under chaos).  If a
-// hostile injected frame rides a run and the assembled batch fails its
-// strict decode, delivery falls back to per-frame decode-or-reject —
-// again identical to unbatched.
+// sent: the sender paid for them).  Each due frame is strict-decoded
+// from its queued bytes and delivered as its own envelope.
 //
 // Partition semantics: a cut link loses messages at BOTH ends of their
 // flight — send() refuses them (connection refused) and pump() discards
@@ -46,7 +34,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "net/transport.hpp"
 #include "util/pool.hpp"
@@ -74,10 +61,9 @@ class SimTransport final : public Transport {
   using Transport::send;
 
   /// Advances one tick and delivers every due message in (due, seq)
-  /// order — coalescing same-link runs into batch envelopes when
-  /// config().batch_delivery is set.  Messages whose link is cut by the
+  /// order, one envelope each.  Messages whose link is cut by the
   /// active partition are discarded here — in-flight loss.  Returns the
-  /// number of messages delivered (sub-messages, for batch envelopes).
+  /// number of messages delivered.
   std::size_t pump() override;
 
   void settle() override {
@@ -137,19 +123,6 @@ class SimTransport final : public Transport {
     std::shared_ptr<const std::string> bytes;
   };
 
-  /// Delivers one queued frame as a single envelope (a standalone
-  /// BatchMsg frame as its sub-views).  Returns messages delivered (0 on
-  /// decode rejection).
-  std::size_t deliver_queued(const Queued& queued) {
-    return deliver_frame(queued.seq, queued.from, queued.to, *queued.bytes,
-                         stats_, batch_views_);
-  }
-
-  /// Coalesces due_[begin, end) — a same-link run — into one BatchMsg
-  /// envelope; falls back to per-frame delivery if the assembled frame
-  /// fails its strict decode (hostile injected bytes in the run).
-  std::size_t deliver_run(std::size_t begin, std::size_t end);
-
   using QueueKey = std::pair<std::uint64_t, std::uint64_t>;
   using QueueEntry = std::pair<const QueueKey, Queued>;
   using QueueAllocator = util::ArenaAllocator<QueueEntry>;
@@ -161,11 +134,6 @@ class SimTransport final : public Transport {
   /// (due tick, seq) -> message; seq makes ties FIFO and keys unique.
   /// Nodes come from the net arena — steady state allocates none.
   std::map<QueueKey, Queued, std::less<QueueKey>, QueueAllocator> queue_;
-  /// pump() scratch (capacity retained across ticks): the tick's due
-  /// frames, the assembled batch frame, and its decoded sub-views.
-  std::vector<Queued> due_;
-  std::string batch_bytes_;
-  std::vector<MessageView> batch_views_;
 };
 
 }  // namespace dvv::net

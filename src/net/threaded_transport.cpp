@@ -147,15 +147,6 @@ void ThreadedTransport::send(NodeId from, NodeId to,
   enqueue(index, std::move(entry));
 }
 
-void ThreadedTransport::inject_raw(NodeId from, NodeId to, std::string bytes) {
-  Entry entry;
-  entry.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  entry.from = from;
-  entry.to = to;
-  entry.bytes = std::move(bytes);
-  enqueue(shard_of(to), std::move(entry));
-}
-
 void ThreadedTransport::post(std::size_t shard, std::function<void()> task) {
   DVV_ASSERT(shard < shards_.size());
   Entry entry;
@@ -186,10 +177,9 @@ void ThreadedTransport::process(Shard& shard, Entry& entry) {
     return;
   }
   // Strict delivery decode over the received bytes — exactly the
-  // SimTransport boundary: frames this transport encoded always parse;
-  // injected hostile bytes are counted and dropped.
+  // SimTransport boundary: frames this transport encoded always parse.
   (void)deliver_frame(entry.seq, entry.from, entry.to, entry.bytes,
-                      shard.local, shard.batch_views);
+                      shard.local);
 }
 
 std::size_t ThreadedTransport::pump_shard(std::size_t index) {
@@ -224,8 +214,8 @@ void ThreadedTransport::worker_loop(std::size_t index) {
         return shard.stopping || !shard.inbox.empty();
       });
       if (shard.stopping && shard.inbox.empty()) return;
-      // Batched dequeue: one lock round per run of entries, not per
-      // entry (the lock-amortization half of PR 8's batching story).
+      // Swap out the whole inbox: one lock round per run of entries,
+      // not per entry.
       batch.swap(shard.inbox);
     }
     for (Entry& entry : batch) {

@@ -19,8 +19,8 @@
 // pools are thread_local freelists, and a pooled handle released on
 // another thread would race the owner's freelist.  At delivery the
 // receiving shard strict-decodes the bytes (decode_view_or_reject),
-// exactly like SimTransport: bytes this transport framed always parse;
-// injected hostile bytes are counted and dropped, never an abort.
+// exactly like SimTransport: bytes this transport framed always parse,
+// and a frame that does not is counted and dropped, never an abort.
 // The sender's `decoded` fast-path alias is dropped at send time (it
 // may alias live sender state — see Envelope::decoded).
 //
@@ -88,10 +88,6 @@ class ThreadedTransport final : public Transport {
             const std::shared_ptr<const void>& decoded = nullptr,
             std::size_t size_hint = 0) override;
   using Transport::send;
-
-  /// Enqueues hostile raw bytes addressed to `to` (tests/fuzz): they
-  /// face the same strict delivery decode as real traffic.
-  void inject_raw(NodeId from, NodeId to, std::string bytes);
 
   /// Enqueues a closure into `shard`'s serial domain.  Safe from any
   /// thread, including shard threads (cross-shard request forwarding).
@@ -164,8 +160,6 @@ class ThreadedTransport final : public Transport {
     /// owning shard writes it and readers aggregate at quiescence
     /// under the inbox mutex.
     TransportStats local;
-    /// Decode scratch, reused per delivery (thread-confined).
-    std::vector<MessageView> batch_views;
   };
 
   void enqueue(std::size_t shard, Entry entry);

@@ -23,12 +23,13 @@
 //                      (net/threaded_transport.hpp): each frame crosses
 //                      to the destination's shard thread as real bytes.
 //
-// Every transport delivers the same form: an Envelope of MessageViews
-// (net/message.hpp).  SimTransport and ThreadedTransport serialize every
-// message to real bytes at send and strict-decode them into views at
-// delivery, so the fault plane exercises the true wire encoding.  The
-// inline loopback skips serialization, the way a production stack
-// treats loopback: its views alias the sender's message, the sender may
+// Every transport delivers the same form: an Envelope holding one
+// MessageView (net/message.hpp) — one frame, one message, one sink
+// call.  SimTransport and ThreadedTransport serialize every message to
+// real bytes at send and strict-decode them into a view at delivery, so
+// the fault plane exercises the true wire encoding.  The inline
+// loopback skips serialization, the way a production stack treats
+// loopback: its view aliases the sender's message, the sender may
 // attach the already-decoded state payload, and the metered size is the
 // exact codec size (net::wire_size) — zero copies, so the message layer
 // costs nothing on the hot path.  Either way wire accounting is the
@@ -55,7 +56,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,15 +85,14 @@ template <typename Id>
   return groups;
 }
 
-/// One delivery, as every transport hands it to the sink: `views`, the
-/// delivered messages in order — one, or the sub-messages of a BatchMsg
-/// frame — as non-owning views over the received bytes (or, inline, over
-/// the sender's message).  Valid only during the sink call.
+/// One delivery, as every transport hands it to the sink: `view`, the
+/// delivered message as a non-owning view over the received bytes (or,
+/// inline, over the sender's message).  Valid only during the sink call.
 struct Envelope {
   std::uint64_t seq = 0;  ///< global send order (assigned by the transport)
   NodeId from = 0;
   NodeId to = 0;
-  std::span<const MessageView> views;  ///< delivery order
+  MessageView view;
   /// Sender-attached fast-path payload (the decoded sibling state a
   /// ReplicateMsg/HintMsg/HintDeliverMsg carries), valid only when the
   /// transport delivered the sender's envelope unserialized.  It may be
@@ -103,7 +102,6 @@ struct Envelope {
   /// decode the message's state field like a real peer would (the
   /// byte-faithful SimTransport does exactly that).
   std::shared_ptr<const void> decoded;
-  std::size_t wire_bytes = 0;  ///< exact codec size of the delivered frame
 };
 
 /// Cumulative transport accounting (observability for tests/benches).
@@ -151,10 +149,8 @@ class Transport {
   }
 
   /// Delivers due messages (one tick of simulated network time).
-  /// Returns the number of messages delivered — sub-messages, for
-  /// coalesced batch envelopes, so the count matches stats().delivered
-  /// regardless of batching.  Inline transports have nothing queued and
-  /// return 0.
+  /// Returns the number of messages delivered.  Inline transports have
+  /// nothing queued and return 0.
   virtual std::size_t pump() = 0;
 
   /// Pumps until nothing remains in flight.  Queued messages whose
@@ -226,54 +222,40 @@ class Transport {
   }
 
  protected:
-  /// Hands the sink one envelope of `views` after metering each view as
-  /// one delivered message at its own encoded size, so a batch's
-  /// counters equal its unbatched twin's.  `stats` is the caller's
-  /// accounting block (per shard, for a sharded transport).
+  /// Hands the sink `view` after metering it as one delivered message
+  /// at its encoded size.  `stats` is the caller's accounting block (per
+  /// shard, for a sharded transport).
   void deliver(std::uint64_t seq, NodeId from, NodeId to,
-               std::span<const MessageView> views, std::size_t wire_bytes,
-               TransportStats& stats,
+               const MessageView& view, TransportStats& stats,
                const std::shared_ptr<const void>& decoded = nullptr) {
     DVV_ASSERT_MSG(sink_ != nullptr, "net: transport has no delivery sink");
-    for (const MessageView& view : views) {
-      ++stats.delivered;
-      if (met_.msgs_delivered.armed()) {
-        met_.msgs_delivered.inc();
-        met_.delivered_by_type[view.index()].inc();
-        met_.wire_bytes_delivered.inc(wire_size(view));
-      }
+    ++stats.delivered;
+    if (met_.msgs_delivered.armed()) {
+      met_.msgs_delivered.inc();
+      met_.delivered_by_type[view.index()].inc();
+      met_.wire_bytes_delivered.inc(wire_size(view));
     }
     Envelope envelope;
     envelope.seq = seq;
     envelope.from = from;
     envelope.to = to;
-    envelope.views = views;
+    envelope.view = view;
     envelope.decoded = decoded;
-    envelope.wire_bytes = wire_bytes;
     sink_(envelope);
   }
 
   /// The receive path for one whole frame of real bytes: strict decode
-  /// into views (a BatchMsg frame into its ordered sub-views, collected
-  /// in `scratch`), then deliver.  Returns the messages delivered; 0
+  /// into a view, then deliver.  Returns the messages delivered: 1, or 0
   /// when the frame is rejected — counted and dropped, never an abort.
   std::size_t deliver_frame(std::uint64_t seq, NodeId from, NodeId to,
-                            std::string_view bytes, TransportStats& stats,
-                            std::vector<MessageView>& scratch) {
+                            std::string_view bytes, TransportStats& stats) {
     const std::optional<MessageView> view = decode_view_or_reject(bytes);
     if (!view.has_value()) {
       ++stats.decode_rejected;
       return 0;
     }
-    std::span<const MessageView> views(&*view, 1);
-    if (view->index() == kBatchTag) {
-      scratch.clear();
-      const bool ok = try_decode_batch_views(bytes, scratch);
-      DVV_ASSERT_MSG(ok, "net: accepted batch frame failed sub-view decode");
-      views = scratch;
-    }
-    deliver(seq, from, to, views, bytes.size(), stats);
-    return views.size();
+    deliver(seq, from, to, *view, stats);
+    return 1;
   }
 
   Sink sink_;
@@ -314,17 +296,7 @@ class InlineTransport final : public Transport {
       met_.partition_dropped.inc();
       return;
     }
-    const std::uint64_t seq = next_seq_++;
-    if (const std::optional<MessageView> view = as_view(*msg)) {
-      deliver(seq, from, to, {&*view, 1}, size, stats_, decoded);
-      return;
-    }
-    // A Batch frame has no aliasing view: it crosses as real bytes,
-    // decoded like any received frame.  Both buffers are locals because
-    // the sink may send, re-entering this transport.
-    const std::string bytes = encode_to_bytes(*msg);
-    std::vector<MessageView> batch;
-    (void)deliver_frame(seq, from, to, bytes, stats_, batch);
+    deliver(next_seq_++, from, to, as_view(*msg), stats_, decoded);
   }
   using Transport::send;
 
@@ -349,13 +321,6 @@ struct SimTransportConfig {
   /// caller pumps — the mode for real in-flight windows (sim_store,
   /// the partition property tests).
   bool auto_settle = true;
-  /// Coalesce each maximal run of consecutive due same-link messages
-  /// into one BatchMsg envelope at pump time (representation-only:
-  /// delivery order, fault draws, receipts and stats are identical to
-  /// unbatched delivery — the transport_batch_test contract).  Off
-  /// restores one-envelope-per-message delivery, which the unit tests
-  /// that pin per-envelope sink granularity rely on.
-  bool batch_delivery = true;
 
   /// The DVV_TRANSPORT=chaos defaults: every test operation's fan-out
   /// is duplicated and reordered (delivery-order chaos that idempotent,

@@ -29,11 +29,10 @@ namespace dvv::obs {
 
 /// Message-type axis of the net.* counters, in net::Message variant
 /// order (checked by a static_assert in net/message.hpp).
-inline constexpr std::size_t kMessageTypes = 11;
+inline constexpr std::size_t kMessageTypes = 10;
 inline constexpr const char* kMessageTypeNames[kMessageTypes] = {
     "replicate", "hint",     "hint_deliver", "hint_ack",  "sync_req",
-    "sync_resp", "read_req", "read_resp",    "write_req", "write_resp",
-    "batch"};
+    "sync_resp", "read_req", "read_resp",    "write_req", "write_resp"};
 
 #if defined(DVV_OBS_DISABLED)
 struct NoopCounter {

@@ -36,9 +36,6 @@ using namespace dvv::net;
 /// realistic payloads.
 std::vector<Message> specimens() {
   const std::string state = "\x03opaque-state-bytes";
-  BatchMsg batch;
-  batch.frames = {encode_to_bytes(ReplicateMsg{"cart", state}),
-                  encode_to_bytes(CoordWriteRespMsg{6})};
   return {
       ReplicateMsg{"cart", state},
       HintMsg{2, "cart", state},
@@ -50,7 +47,6 @@ std::vector<Message> specimens() {
       CoordReadRespMsg{5, true, state},
       CoordWriteReqMsg{6, "cart", state},
       CoordWriteRespMsg{6},
-      batch,
   };
 }
 
@@ -76,14 +72,8 @@ TEST(NetDecode, EveryTypeRoundTripsCanonically) {
     EXPECT_EQ(wire_size(*view), bytes.size());
 
     // ...and so does the inline loopback's aliasing view, materialized.
-    // Batch has none: it crosses inline as bytes.
-    const std::optional<MessageView> alias = as_view(msg);
-    ASSERT_EQ(alias.has_value(), tag != kBatchTag)
+    EXPECT_EQ(encode_to_bytes(materialize(as_view(msg))), bytes)
         << "type index " << tag;
-    if (alias.has_value()) {
-      EXPECT_EQ(encode_to_bytes(materialize(*alias)), bytes)
-          << "type index " << tag;
-    }
   }
 }
 
@@ -113,10 +103,9 @@ TEST(NetDecode, RejectsTrailingGarbage) {
 
 TEST(NetDecode, RejectsUnknownTag) {
   EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x63')).has_value());
-  // 0x0b is the first out-of-range tag (0x0a is BatchMsg — a bare tag
-  // with no count is rejected as a truncated batch, not unknown).
-  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0b')).has_value());
+  // 0x0a is the first out-of-range tag.
   EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0a')).has_value());
+  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0b')).has_value());
 }
 
 TEST(NetDecode, RejectsNonCanonicalVarint) {
@@ -174,8 +163,9 @@ TEST(NetDecode, RejectTaxonomyCounters) {
   EXPECT_EQ(count("net.decode_reject"), base_total + 3);
   EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 2);
 
-  // Tags 11 and 12 once carried membership frames; a body that parsed
-  // under those layouts still counts as .unknown, never as a frame type.
+  // Tag 10 once carried a batch of length-prefixed sub-frames, and tags
+  // 11 and 12 membership frames; a body that parsed under those layouts
+  // still counts as .unknown, never as a frame type.
   const auto by_type_total = [&count] {
     std::uint64_t sum = 0;
     for (const char* name : dvv::obs::kMessageTypeNames) {
@@ -184,18 +174,22 @@ TEST(NetDecode, RejectTaxonomyCounters) {
     return sum;
   };
   const std::uint64_t base_by_type = by_type_total();
+  const std::string sub = encode_to_bytes(CoordWriteRespMsg{6});
+  const std::string one_frame_batch =
+      std::string("\x0a\x01", 2) + static_cast<char>(sub.size()) + sub;
+  EXPECT_FALSE(decode_or_reject(one_frame_batch).has_value());
   EXPECT_FALSE(decode_or_reject(std::string("\x0b\x03\x03\x00\x01\x07", 6))
                    .has_value());
   EXPECT_FALSE(
       decode_or_reject(std::string("\x0c\x03\x2a\x07\x0c\x80\x20", 7))
           .has_value());
-  EXPECT_EQ(count("net.decode_reject"), base_total + 5);
-  EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 4);
+  EXPECT_EQ(count("net.decode_reject"), base_total + 6);
+  EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 5);
   EXPECT_EQ(by_type_total(), base_by_type);
 
   // A clean decode bumps nothing.
   EXPECT_TRUE(decode_or_reject(encode_to_bytes(specimens()[0])).has_value());
-  EXPECT_EQ(count("net.decode_reject"), base_total + 5);
+  EXPECT_EQ(count("net.decode_reject"), base_total + 6);
 
   reg.set_enabled(was_enabled);
 }
@@ -204,13 +198,11 @@ TEST(NetDecode, SimTransportDropsInjectedGarbageAtDelivery) {
   SimTransport transport{SimTransportConfig{}};
   std::size_t delivered = 0;
   std::size_t replicate_seen = 0;
-  // SimTransport delivers zero-copy views (Envelope::views); the garbage
-  // riding the same tick also exercises the batch assembler's fallback
-  // to per-frame delivery.
+  // SimTransport delivers one zero-copy view per envelope; the garbage
+  // riding the same tick is rejected frame by frame.
   transport.set_sink([&](const Envelope& envelope) {
     ++delivered;
-    if (envelope.views.size() == 1 &&
-        std::holds_alternative<ReplicateView>(envelope.views[0])) {
+    if (std::holds_alternative<ReplicateView>(envelope.view)) {
       ++replicate_seen;
     }
   });

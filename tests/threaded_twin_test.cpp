@@ -8,8 +8,8 @@
 //     entering the coordinator's serial domain through run_at
 //     (put_direct / get_direct, the dvvd request path), settled to
 //     quiescence after each op;
-//   * sim twin: SimTransport, fault-free, batch delivery on, the same
-//     trace pumped to empty after each op —
+//   * sim twin: SimTransport, fault-free, the same trace pumped to
+//     empty after each op —
 //
 // and requires byte-identical end states: every replica's full codec
 // encoding for every key, plus the anti-entropy digest fixed point.
@@ -53,7 +53,6 @@ kv::StoreConfig sim_config() {
   config.servers = kServers;
   config.transport.kind = net::TransportKind::kSim;
   config.transport.sim = net::SimTransportConfig{};  // fault-free
-  config.transport.sim.batch_delivery = true;
   return config;
 }
 

@@ -65,8 +65,7 @@ Message probe(const std::string& tag) {
 }
 
 std::uint64_t nonce_of(const Envelope& e) {
-  EXPECT_EQ(e.views.size(), 1u);
-  return std::get<dvv::net::SyncReqView>(e.views[0]).nonce;
+  return std::get<dvv::net::SyncReqView>(e.view).nonce;
 }
 
 TEST(InlineTransport, DeliversSynchronouslyInSendOrder) {
@@ -104,52 +103,6 @@ TEST(InlineTransport, PartitionRefusesCrossGroupSends) {
   transport.heal();
   transport.send(0, 2, probe("after heal"));
   EXPECT_EQ(delivered, 2u);
-}
-
-TEST(InlineTransport, BatchCrossesAsRealBytes) {
-  // A batch has no view that aliases an owned message, so the inline
-  // loopback encodes and strict-decodes it: the sink must see the views,
-  // delivered count and wire bytes SimTransport reports for the same
-  // send — ONE envelope of its sub-messages.
-  dvv::net::BatchMsg batch;
-  batch.frames = {
-      dvv::net::encode_to_bytes(dvv::net::ReplicateMsg{"k", "state"}),
-      dvv::net::encode_to_bytes(dvv::net::CoordWriteRespMsg{6})};
-  const std::vector<Message> sends = {batch};
-
-  struct Seen {
-    std::vector<std::vector<std::string>> envelopes;  ///< views, re-encoded
-    std::vector<std::size_t> wire_bytes;
-  };
-  const auto run = [&sends](dvv::net::Transport& transport) {
-    Seen seen;
-    transport.set_sink([&seen](const Envelope& e) {
-      std::vector<std::string> views;
-      for (const dvv::net::MessageView& view : e.views) {
-        views.push_back(dvv::net::encode_to_bytes(view));
-      }
-      seen.envelopes.push_back(std::move(views));
-      seen.wire_bytes.push_back(e.wire_bytes);
-    });
-    for (const Message& msg : sends) {
-      transport.send(0, 1, msg);
-      (void)transport.drain();
-    }
-    return seen;
-  };
-  InlineTransport inline_transport;
-  SimTransport sim{SimTransportConfig{}};
-  const Seen inline_seen = run(inline_transport);
-  const Seen sim_seen = run(sim);
-
-  const std::vector<std::vector<std::string>> expected = {batch.frames};
-  EXPECT_EQ(inline_seen.envelopes, expected);
-  EXPECT_EQ(sim_seen.envelopes, expected);
-  EXPECT_EQ(inline_seen.wire_bytes, sim_seen.wire_bytes);
-  EXPECT_EQ(inline_transport.stats().delivered, 2u);
-  EXPECT_EQ(sim.stats().delivered, 2u);
-  EXPECT_EQ(inline_transport.stats().wire_bytes, sim.stats().wire_bytes);
-  EXPECT_EQ(inline_transport.stats().decode_rejected, 0u);
 }
 
 TEST(InlineTransport, UnnamedNodesFormTheRemainderGroup) {
@@ -200,9 +153,6 @@ TEST(SimTransport, DeterministicForSameSeed) {
     config.duplicate_probability = 0.2;
     config.reorder_window = 4;
     config.auto_settle = false;
-    // This test records one seq per sink call: keep per-envelope
-    // delivery (batching coalesces same-link runs into one envelope).
-    config.batch_delivery = false;
     SimTransport transport(config);
     std::vector<std::uint64_t> order;
     transport.set_sink([&](const Envelope& e) { order.push_back(e.seq); });
@@ -220,9 +170,6 @@ TEST(SimTransport, DropsAndDuplicatesAreCountedAndBounded) {
   config.drop_probability = 0.3;
   config.duplicate_probability = 0.3;
   config.auto_settle = false;
-  // The sink-call count is compared against stats().delivered below,
-  // which meters per message: keep per-envelope delivery.
-  config.batch_delivery = false;
   SimTransport transport(config);
   std::size_t delivered = 0;
   transport.set_sink([&](const Envelope&) { ++delivered; });
@@ -248,8 +195,6 @@ TEST(SimTransport, ReorderWindowReordersDeliveries) {
   config.seed = 5;
   config.reorder_window = 5;
   config.auto_settle = false;
-  // One recorded seq per delivered message, so per-envelope delivery.
-  config.batch_delivery = false;
   SimTransport transport(config);
   std::vector<std::uint64_t> order;
   transport.set_sink([&](const Envelope& e) { order.push_back(e.seq); });

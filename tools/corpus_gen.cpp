@@ -129,15 +129,6 @@ void mint_wire(const fs::path& dir) {
     write_file(dir / (std::string("msg_") + name + ".bin"),
                encode_to_bytes(msg));
   }
-
-  // A well-formed batch frame: the coalesced shape SimTransport's pump
-  // puts on the wire (length-prefixed sub-frames, no nesting).
-  BatchMsg batch;
-  batch.frames.push_back(encode_to_bytes(Message{ReplicateMsg{"cart", state}}));
-  batch.frames.push_back(
-      encode_to_bytes(Message{CoordWriteReqMsg{6, "cart", state}}));
-  batch.frames.push_back(encode_to_bytes(Message{CoordWriteRespMsg{6}}));
-  write_file(dir / "msg_batch.bin", encode_to_bytes(Message{batch}));
 }
 
 void mint_wal(const fs::path& dir) {
@@ -263,28 +254,6 @@ void mint_crashers(const fs::path& dir) {
         reinterpret_cast<const std::byte*>(payload.data()), payload.size())));
     frame += payload;
     write_file(dir / "wal_valid_crc_malformed_payload.bin", frame);
-  }
-
-  // Batch-frame probes against the tag-10 decoder.  A sub-frame that
-  // is itself a batch (nesting is banned — unbounded recursion probe),
-  // a frame whose count claims more sub-frames than follow, and a
-  // well-formed batch with trailing junk (r.done() gate).
-  {
-    using namespace dvv::net;
-    const std::string sub =
-        encode_to_bytes(Message{ReplicateMsg{"cart", "state-bytes"}});
-    const std::uint64_t batch_tag = std::variant_size_v<Message> - 1;
-    const auto frame_of = [&](const std::vector<std::string>& subs,
-                              std::uint64_t count) {
-      std::string out = varint_bytes(batch_tag) + varint_bytes(count);
-      for (const std::string& s : subs) out += varint_bytes(s.size()) + s;
-      return out;
-    };
-    write_file(dir / "wire_batch_nested.bin",
-               frame_of({frame_of({sub}, 1)}, 1));
-    write_file(dir / "wire_batch_count_overclaim.bin", frame_of({sub}, 3));
-    write_file(dir / "wire_batch_trailing_junk.bin",
-               frame_of({sub}, 1) + "junk");
   }
 
   // Token with a flipped CRC byte, and one with a wrong format version:
