@@ -21,6 +21,7 @@
 #include "kv/cluster.hpp"
 #include "kv/mechanism.hpp"
 #include "obs/obs.hpp"
+#include "sync/merkle.hpp"
 #include "util/fmt.hpp"
 #include "util/rng.hpp"
 
@@ -148,6 +149,7 @@ void write_json(const std::vector<Row>& rows) {
     return;
   }
   const ClusterConfig cfg = bench_config();
+  const dvv::sync::MerkleConfig merkle{};
   std::fprintf(f, "{\n  \"bench\": \"anti_entropy\",\n  \"seed\": %llu,\n",
                static_cast<unsigned long long>(kSeed));
   std::fprintf(f, "  \"obs\": %s,\n", dvv::obs::registry().json_snapshot().c_str());
@@ -156,7 +158,7 @@ void write_json(const std::vector<Row>& rows) {
                "\"keys\": %zu, \"value_bytes\": %zu, \"merkle_fanout\": %zu, "
                "\"merkle_levels\": %zu},\n",
                cfg.servers, cfg.replication, kKeys, kValueBytes,
-               cfg.aae.fanout, cfg.aae.levels);
+               merkle.fanout, merkle.levels);
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -110,7 +110,7 @@ class Cluster {
         membership_(config_.initial_members, config_.replication,
                     config_.vnodes),
         ring_(membership_.current().ring),
-        digest_index_(config_.capacity, config_.aae),
+        digest_index_(config_.capacity),
         transport_(net::make_transport(config_.transport)) {
     replicas_.reserve(config_.capacity);
     for (std::size_t s = 0; s < config_.capacity; ++s) {
@@ -153,12 +153,6 @@ class Cluster {
   /// Owner shard of replica `r` (always 0 without a threaded transport).
   [[nodiscard]] std::size_t shard_of(ReplicaId r) const noexcept {
     return threaded_ == nullptr ? 0 : threaded_->shard_of(r);
-  }
-
-  /// The threaded transport when this cluster runs on one, else null —
-  /// hosts (the dvvd server) wire their event loops through it.
-  [[nodiscard]] net::ThreadedTransport* threaded_transport() noexcept {
-    return threaded_;
   }
 
   /// Runs `fn` inside replica `r`'s serial execution domain: on the
@@ -473,10 +467,10 @@ class Cluster {
   /// Starts a coordinated read with an explicit (alive) coordinator:
   /// the coordinator's own local read is the first reply, then
   /// CoordReadReqMsg scatters to further alive, reachable preference
-  /// members until quorum + extra_scatter replicas have been asked —
-  /// stopping early if inline replies already completed the request,
-  /// which is exactly what keeps the shim byte-identical to the
-  /// pre-engine loop (tests/transport_equivalence_test.cpp).
+  /// members until `quorum` replicas have been asked — stopping early
+  /// if inline replies already completed the request, which is exactly
+  /// what keeps the shim byte-identical to the pre-engine loop
+  /// (tests/transport_equivalence_test.cpp).
   [[nodiscard]] std::uint64_t begin_read_at(const Key& key, ReplicaId coordinator,
                                             std::size_t quorum,
                                             const ReadOptions& opts = {}) {
@@ -489,14 +483,13 @@ class Cluster {
       maybe_read_repair(eng, id);
       return id;
     }
-    const std::size_t ask_limit = quorum + opts.extra_scatter;
     std::size_t asked = 1;
     // One fill serves every target — the request bytes do not depend
     // on which replica receives them.
     const net::Message* req_msg = nullptr;
     std::size_t req_bytes = 0;
     for (const ReplicaId r : preference_list(key)) {
-      if (asked >= ask_limit || eng.is_terminal(id)) break;
+      if (asked >= quorum || eng.is_terminal(id)) break;
       if (r == coordinator || !replicas_[r].alive()) continue;
       if (!transport_->link_up(coordinator, r)) continue;
       ++asked;
@@ -938,8 +931,8 @@ class Cluster {
     // A rebalance in progress advances first: transfer walks are what
     // makes routing flips safe, and a sweep after a heal/recover is
     // exactly when previously blocked walks become possible.  Their
-    // effort is metered in membership.* / rebalance_stats(), never in
-    // this report's steady-state aae numbers.
+    // effort is metered in membership.* and complete_rebalance()'s
+    // stats, never in this report's steady-state aae numbers.
     (void)rebalance_step();
     DigestRepairReport report;
     bool progress = true;
@@ -1069,9 +1062,6 @@ class Cluster {
     return membership_.members();
   }
   [[nodiscard]] bool rebalancing() const noexcept { return rebalance_.active(); }
-  [[nodiscard]] const membership::RebalanceStats& rebalance_stats() const noexcept {
-    return rebalance_.stats();
-  }
 
   /// Adds provisioned replica `node` to the ring: mints the join epoch
   /// and plans the transfers its claimed partitions need.
@@ -1155,16 +1145,11 @@ class Cluster {
     return rebalance_.stats();
   }
 
-  /// Stop-the-world spellings for non-shard control threads (the dvvd
+  /// Stop-the-world spelling for non-shard control threads (the dvvd
   /// admin loop): transfer walks touch replicas the shard threads own,
   /// so over a threaded transport they are only legal with the world
-  /// parked.  Over an inline transport they run the plain spellings
+  /// parked.  Over an inline transport it runs complete_rebalance
   /// directly.
-  std::size_t rebalance_step_stopped() {
-    std::size_t walked = 0;
-    with_world_stopped([&] { walked = rebalance_step(); });
-    return walked;
-  }
   membership::RebalanceStats complete_rebalance_stopped() {
     membership::RebalanceStats out;
     with_world_stopped([&] { out = complete_rebalance(); });
@@ -1239,7 +1224,7 @@ class Cluster {
     target_ring_.emplace(e.ring);
     flipped_partitions_.clear();
 
-    digest_index_ = sync::DigestIndex(replicas_.size(), config_.aae);
+    digest_index_ = sync::DigestIndex(replicas_.size());
     wire_partitioner();
     // Per partition, the candidates that actually HOLD a key of it:
     // data can only move from where it lives, and walking a holderless

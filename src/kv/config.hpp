@@ -11,7 +11,6 @@
 #include "kv/types.hpp"
 #include "net/transport.hpp"
 #include "store/backend.hpp"
-#include "sync/merkle.hpp"
 
 namespace dvv::kv {
 
@@ -19,7 +18,6 @@ struct ClusterConfig {
   std::size_t servers = 3;
   std::size_t replication = 3;
   std::size_t vnodes = 64;
-  sync::MerkleConfig aae{};          ///< geometry of the per-replica hash trees
   store::BackendConfig storage{};    ///< per-replica durability model
   net::TransportConfig transport{};  ///< inter-replica message layer (src/net)
   /// Elastic membership (src/membership): `capacity` replicas are

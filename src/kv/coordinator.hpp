@@ -100,13 +100,9 @@ struct CoordStats {
   std::size_t stale_replies_dropped = 0;
 };
 
-/// Per-read tuning knobs (Cluster::begin_read / get_quorum).
+/// Per-read tuning knobs (Cluster::begin_read / get_quorum).  A read
+/// asks exactly `quorum` replicas.
 struct ReadOptions {
-  /// Extra preference-list replicas asked beyond the quorum (insurance
-  /// against drops: any R of the asked set completes the read).  0 asks
-  /// exactly `quorum` replicas — the synchronous shim's shape, which is
-  /// byte-identical to the pre-engine get_quorum loop.
-  std::size_t extra_scatter = 0;
   /// Scatter the merged state back to responders whose reply digest
   /// differs once the read completes (Dynamo read repair).  Off by
   /// default: the shim must not write where the old code did not.

@@ -40,13 +40,6 @@ class Session {
     return result;
   }
 
-  /// R-quorum GET through the coordination engine; same token rules.
-  StoreGetResult get_quorum(const Key& key, std::size_t quorum) {
-    StoreGetResult result = store_->get_quorum(key, quorum);
-    if (result.ok()) tokens_[key] = result.token;
-    return result;
-  }
-
   /// PUT with the remembered token (empty if this session never read
   /// the key — a blind write).
   StorePutResult put(const Key& key, Value value) {

@@ -123,11 +123,6 @@ class TypedStore final : public Store {
     return note_get(to_get_result(cluster_.get(key, *source)));
   }
 
-  [[nodiscard]] StoreGetResult get_quorum(const Key& key,
-                                          std::size_t quorum) override {
-    return note_get(to_get_result(cluster_.get_quorum(key, quorum)));
-  }
-
   StorePutResult put(const Key& key, ClientId client, const CausalToken& token,
                      Value value) override {
     Context ctx;
@@ -162,10 +157,6 @@ class TypedStore final : public Store {
   [[nodiscard]] std::size_t shard_of(ReplicaId r) const noexcept override {
     return cluster_.shard_of(r);
   }
-  void run_at(ReplicaId r, const std::function<void()>& fn) override {
-    cluster_.run_at(r, fn);
-  }
-
   StorePutResult put_direct_local(const Key& key, ClientId client,
                                   const CausalToken& token,
                                   Value value) override {
@@ -218,11 +209,6 @@ class TypedStore final : public Store {
 
   // ---- asynchronous quorum coordination ---------------------------------
 
-  [[nodiscard]] std::uint64_t begin_read(const Key& key, std::size_t quorum,
-                                         const ReadOptions& opts) override {
-    obs::store_metrics().begin_reads.inc();
-    return cluster_.begin_read(key, quorum, opts);
-  }
   [[nodiscard]] std::uint64_t begin_read_at(const Key& key, ReplicaId coordinator,
                                             std::size_t quorum,
                                             const ReadOptions& opts) override {
@@ -318,9 +304,6 @@ class TypedStore final : public Store {
     obs::store_metrics().anti_entropy_runs.inc();
     return cluster_.anti_entropy_digest();
   }
-  sync::SyncStats anti_entropy_digest_pair(ReplicaId a, ReplicaId b) override {
-    return cluster_.anti_entropy_digest_pair(a, b);
-  }
   std::uint64_t request_sync(ReplicaId a, ReplicaId b) override {
     return cluster_.request_sync(a, b);
   }
@@ -339,9 +322,6 @@ class TypedStore final : public Store {
   [[nodiscard]] bool rebalancing() const noexcept override {
     return cluster_.rebalancing();
   }
-  [[nodiscard]] membership::RebalanceStats rebalance_stats() const override {
-    return cluster_.rebalance_stats();
-  }
   bool join_node(ReplicaId node) override {
     std::unique_lock<std::shared_mutex> guard(routing_mu_);
     if (node >= cluster_.servers()) return false;
@@ -355,16 +335,6 @@ class TypedStore final : public Store {
     if (!can_depart(node)) return false;
     cluster_.leave_node(node);
     return true;
-  }
-  bool remove_node(ReplicaId node) override {
-    std::unique_lock<std::shared_mutex> guard(routing_mu_);
-    if (!can_depart(node)) return false;
-    cluster_.remove_node(node);
-    return true;
-  }
-  std::size_t rebalance_step() override {
-    std::unique_lock<std::shared_mutex> guard(routing_mu_);
-    return cluster_.rebalance_step_stopped();
   }
   membership::RebalanceStats complete_rebalance() override {
     std::unique_lock<std::shared_mutex> guard(routing_mu_);
@@ -438,8 +408,8 @@ class TypedStore final : public Store {
     return out;
   }
 
-  /// A node may leave (or be removed) only while it is a member and the
-  /// ring stays at or above the replication floor without it.
+  /// A node may leave only while it is a member and the ring stays at
+  /// or above the replication floor without it.
   [[nodiscard]] bool can_depart(ReplicaId node) const {
     return cluster_.membership().is_member(node) &&
            cluster_.members().size() > cluster_.membership().replication();

@@ -19,14 +19,14 @@
 //   * a corrupted, truncated or cross-mechanism token is rejected as
 //     StoreStatus::kBadToken without touching any replica state —
 //     never an assert, never a silent blind write;
-//   * everything else Cluster<M> offers — quorum options, receipts,
+//   * what its callers use of Cluster<M> — quorum options, receipts,
 //     the asynchronous request engine, hinted handoff, both
 //     anti-entropy passes, transport faults, crash/recovery — is
 //     re-exposed through mechanism-independent types (kv/results.hpp,
 //     kv/coordinator.hpp).
 //
-// The facade fully wraps Cluster<M> (store.cpp instantiates it for all
-// six mechanisms) and adds nothing but the token boundary, so it makes
+// The facade wraps Cluster<M> (store.cpp instantiates it for all six
+// mechanisms) and adds nothing but the token boundary, so it makes
 // the same decisions Cluster<M> does.  It is the one client path:
 // dvvd, the trace replayer (workload/replay.hpp) and the lockstep
 // causality oracle (oracle/audit.hpp) all drive it.  Use Cluster<M>
@@ -37,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -52,7 +51,6 @@
 #include "membership/membership.hpp"
 #include "net/transport.hpp"
 #include "store/backend.hpp"
-#include "sync/merkle.hpp"
 
 namespace dvv::kv {
 
@@ -186,10 +184,6 @@ class Store {
   [[nodiscard]] virtual StoreGetResult get(
       const Key& key, std::optional<ReplicaId> from = std::nullopt) const = 0;
 
-  /// Dynamo-style R-quorum read through the coordination engine.
-  [[nodiscard]] virtual StoreGetResult get_quorum(const Key& key,
-                                                  std::size_t quorum) = 0;
-
   /// PUT with the client's token (empty = blind write): default
   /// coordinator, full immediate replication.
   virtual StorePutResult put(const Key& key, ClientId client,
@@ -212,21 +206,16 @@ class Store {
   // The dvvd request path.  Over a threaded transport every replica
   // lives in exactly one shard's serial domain; the *_local entries
   // below touch the coordinator replica directly and are therefore
-  // legal ONLY on the owning shard's thread (the server's event loop,
-  // a run_at closure).  The non-local spellings wrap themselves in
-  // run_at and may be called from any non-shard thread — tests and
-  // bench drivers.  Over an inline/sim transport there is one implicit
-  // shard and every spelling is legal everywhere.
+  // legal ONLY on the owning shard's thread (the server's event loop).
+  // The non-local spellings hop into the coordinator's shard themselves
+  // and may be called from any non-shard thread — tests and bench
+  // drivers.  Over an inline/sim transport there is one implicit shard
+  // and every spelling is legal everywhere.
 
   /// Shards in the execution domain (1 unless the transport is
   /// threaded), and the shard owning replica `r`.
   [[nodiscard]] virtual std::size_t shard_count() const noexcept = 0;
   [[nodiscard]] virtual std::size_t shard_of(ReplicaId r) const noexcept = 0;
-
-  /// Runs `fn` inside replica `r`'s serial domain and blocks until it
-  /// ran (inline when single-domain).  Must not be called from a shard
-  /// thread — the server path uses the *_local entries instead.
-  virtual void run_at(ReplicaId r, const std::function<void()>& fn) = 0;
 
   /// W=1 coordinator-apply PUT: completes on the coordinator's local
   /// apply, replication to the rest of the preference list is
@@ -239,17 +228,14 @@ class Store {
   /// coordinator's shard.
   [[nodiscard]] virtual StoreGetResult get_local(const Key& key) = 0;
 
-  /// Blocking wrappers: route the op into the coordinator's shard via
-  /// run_at.  For tests and bench drivers on non-shard threads.
+  /// Blocking wrappers: run the op on the coordinator's shard and wait
+  /// for it.  For tests and bench drivers on non-shard threads.
   virtual StorePutResult put_direct(const Key& key, ClientId client,
                                     const CausalToken& token, Value value) = 0;
   [[nodiscard]] virtual StoreGetResult get_direct(const Key& key) = 0;
 
   // ---- asynchronous quorum coordination ---------------------------------
 
-  [[nodiscard]] virtual std::uint64_t begin_read(const Key& key,
-                                                 std::size_t quorum,
-                                                 const ReadOptions& opts = {}) = 0;
   [[nodiscard]] virtual std::uint64_t begin_read_at(
       const Key& key, ReplicaId coordinator, std::size_t quorum,
       const ReadOptions& opts = {}) = 0;
@@ -285,16 +271,15 @@ class Store {
   [[nodiscard]] virtual std::size_t hinted_count() const = 0;
   virtual std::size_t anti_entropy() = 0;
   virtual DigestRepairReport anti_entropy_digest() = 0;
-  virtual sync::SyncStats anti_entropy_digest_pair(ReplicaId a, ReplicaId b) = 0;
   virtual std::uint64_t request_sync(ReplicaId a, ReplicaId b) = 0;
   [[nodiscard]] virtual std::vector<CompletedSync> take_completed_syncs() = 0;
 
   // ---- elastic membership (src/membership) -------------------------------
   //
-  // Join / graceful-leave / crash-removal as store transitions.  The
-  // mutating entries are control-plane: they stop the world internally
-  // (legal under concurrent client traffic on a threaded transport) but
-  // must be called from a NON-shard thread — dvvd routes them through a
+  // Join / graceful-leave as store transitions.  The mutating entries
+  // are control-plane: they stop the world internally (legal under
+  // concurrent client traffic on a threaded transport) but must be
+  // called from a NON-shard thread — dvvd routes them through a
   // dedicated admin thread.  The bool returns report precondition
   // failures (out-of-range id, already/not a member, leave below the
   // replication floor) without touching any state — the dvvd admin
@@ -303,12 +288,8 @@ class Store {
   [[nodiscard]] virtual std::uint64_t ring_epoch() const noexcept = 0;
   [[nodiscard]] virtual std::vector<ReplicaId> members() const = 0;
   [[nodiscard]] virtual bool rebalancing() const noexcept = 0;
-  [[nodiscard]] virtual membership::RebalanceStats rebalance_stats() const = 0;
   virtual bool join_node(ReplicaId node) = 0;
   virtual bool leave_node(ReplicaId node) = 0;
-  virtual bool remove_node(ReplicaId node) = 0;
-  /// One pass over the owed transfer walks; returns walks performed.
-  virtual std::size_t rebalance_step() = 0;
   /// Drives the rebalance to completion; returns the cumulative stats.
   virtual membership::RebalanceStats complete_rebalance() = 0;
 

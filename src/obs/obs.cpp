@@ -318,7 +318,6 @@ FlightRecorder& flight() {
 NetMetrics& net_metrics() {
   static NetMetrics m = [] {
     NetMetrics out;
-#if !defined(DVV_OBS_DISABLED)
     Registry& r = registry();
     out.msgs_sent = r.counter("net.msgs_sent");
     out.msgs_delivered = r.counter("net.msgs_delivered");
@@ -341,7 +340,6 @@ NetMetrics& net_metrics() {
       out.decode_reject_by_type[i] =
           r.counter(std::string("net.decode_reject.") + kMessageTypeNames[i]);
     }
-#endif
     return out;
   }();
   return m;
@@ -350,7 +348,6 @@ NetMetrics& net_metrics() {
 CoordMetrics& coord_metrics() {
   static CoordMetrics m = [] {
     CoordMetrics out;
-#if !defined(DVV_OBS_DISABLED)
     Registry& r = registry();
     out.reads_started = r.counter("coord.reads_started");
     out.writes_started = r.counter("coord.writes_started");
@@ -361,7 +358,6 @@ CoordMetrics& coord_metrics() {
     out.replies_late_dropped = r.counter("coord.replies_late_dropped");
     out.replies_stale_dropped = r.counter("coord.replies_stale_dropped");
     out.latency_ticks = r.histogram("coord.latency_ticks");
-#endif
     return out;
   }();
   return m;
@@ -370,7 +366,6 @@ CoordMetrics& coord_metrics() {
 AaeMetrics& aae_metrics() {
   static AaeMetrics m = [] {
     AaeMetrics out;
-#if !defined(DVV_OBS_DISABLED)
     Registry& r = registry();
     out.sessions = r.counter("aae.sessions");
     out.rounds = r.counter("aae.rounds");
@@ -378,7 +373,6 @@ AaeMetrics& aae_metrics() {
     out.keys_compared = r.counter("aae.keys_compared");
     out.keys_shipped = r.counter("aae.keys_shipped");
     out.wire_bytes = r.counter("aae.wire_bytes");
-#endif
     return out;
   }();
   return m;
@@ -387,7 +381,6 @@ AaeMetrics& aae_metrics() {
 WalMetrics& wal_metrics() {
   static WalMetrics m = [] {
     WalMetrics out;
-#if !defined(DVV_OBS_DISABLED)
     Registry& r = registry();
     out.appends = r.counter("wal.appends");
     out.fsyncs = r.counter("wal.fsyncs");
@@ -398,7 +391,6 @@ WalMetrics& wal_metrics() {
     out.records_replayed = r.counter("wal.records_replayed");
     out.torn_records_dropped = r.counter("wal.torn_records_dropped");
     out.replay_us = r.histogram("wal.replay_us");
-#endif
     return out;
   }();
   return m;
@@ -407,7 +399,6 @@ WalMetrics& wal_metrics() {
 ServerMetrics& server_metrics() {
   static ServerMetrics m = [] {
     ServerMetrics out;
-#if !defined(DVV_OBS_DISABLED)
     Registry& r = registry();
     out.connections_accepted = r.counter("server.connections_accepted");
     out.connections_closed = r.counter("server.connections_closed");
@@ -426,7 +417,6 @@ ServerMetrics& server_metrics() {
     out.reject_trailing_bytes =
         r.counter("server.decode_reject.trailing_bytes");
     out.reject_bad_token = r.counter("server.decode_reject.bad_token");
-#endif
     return out;
   }();
   return m;
@@ -435,7 +425,6 @@ ServerMetrics& server_metrics() {
 StoreMetrics& store_metrics() {
   static StoreMetrics m = [] {
     StoreMetrics out;
-#if !defined(DVV_OBS_DISABLED)
     Registry& r = registry();
     out.gets = r.counter("store.gets");
     out.puts = r.counter("store.puts");
@@ -445,7 +434,6 @@ StoreMetrics& store_metrics() {
     out.status_unavailable = r.counter("store.status_unavailable");
     out.status_bad_token = r.counter("store.status_bad_token");
     out.anti_entropy_runs = r.counter("store.anti_entropy_runs");
-#endif
     return out;
   }();
   return m;
@@ -454,7 +442,6 @@ StoreMetrics& store_metrics() {
 MembershipMetrics& membership_metrics() {
   static MembershipMetrics m = [] {
     MembershipMetrics out;
-#if !defined(DVV_OBS_DISABLED)
     Registry& r = registry();
     out.joins = r.counter("membership.joins");
     out.leaves = r.counter("membership.leaves");
@@ -467,7 +454,6 @@ MembershipMetrics& membership_metrics() {
     out.transfer_wire_bytes = r.counter("membership.transfer_wire_bytes");
     out.hints_retargeted = r.counter("membership.hints_retargeted");
     out.rejoin_incarnations = r.counter("membership.rejoin_incarnations");
-#endif
     return out;
   }();
   return m;

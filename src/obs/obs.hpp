@@ -18,9 +18,7 @@
 // Cost model: a handle is two pointers.  When the owning registry is
 // disabled, inc()/add() is one well-predicted not-taken branch on a
 // cached bool — bench_transport demonstrates that is within run noise
-// on the inline-transport hot path.  For a hard guarantee, configure
-// with -DDVV_OBS_OFF=ON: the layer catalogs (obs/metrics.hpp) become
-// compile-time no-ops and instrumented call sites compile to nothing.
+// on the inline-transport hot path.
 //
 // Knobs (process-wide, read once):
 //   DVV_METRICS={off,on}        global registry enabled? (default off;
@@ -34,10 +32,9 @@
 //                               (default ./flight_recorder.json)
 //
 // Registries are instantiable: the global one (obs::registry()) serves
-// the layer catalogs, while harnesses that need always-on private
-// accounting (sim_store's result counters) own a local Registry that
-// ignores DVV_METRICS.  Handles alias registry-owned cells, so a
-// registry must outlive its handles and not move.
+// the layer catalogs; a local Registry is enabled or not by its
+// constructor and ignores DVV_METRICS.  Handles alias registry-owned
+// cells, so a registry must outlive its handles and not move.
 #pragma once
 
 #include <atomic>

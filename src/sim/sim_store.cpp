@@ -18,20 +18,25 @@
 #include "kv/types.hpp"
 #include "net/sim_transport.hpp"
 #include "net/transport.hpp"
-#include "obs/obs.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/latency.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace dvv::sim {
+
+namespace {
+
+/// Every network leg is sampled from the default LAN model.
+constexpr LatencyModel kNetwork{};
+
+}  // namespace
 
 SimStoreResult simulate_store(const SimStoreConfig& config) {
   kv::StoreConfig store_config;
   store_config.mechanism = config.mechanism;
   store_config.servers = config.servers;
   store_config.replication = config.replication;
-  store_config.vnodes = config.vnodes;
-  store_config.capacity = config.capacity;
   store_config.storage = config.storage;
   // Manual-pump SimTransport: fan-out and sync requests sit in real
   // queues until a scheduled pump delivers them — the in-flight window.
@@ -52,35 +57,10 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
   const util::ZipfSampler zipf(config.keys, config.zipf_skew);
   SimStoreResult result;
 
-  // Event tallies ride a LOCAL always-enabled obs::Registry — these
-  // counters ARE the result, so they ignore DVV_METRICS (the global
-  // registry's knob).  The run bumps handles; the end of the function
-  // reads the cells back into the SimStoreResult fields, so callers and
-  // tests keep their existing views.
-  obs::Registry sim_metrics(/*enabled=*/true);
-  const obs::Counter m_cycles = sim_metrics.counter("sim.cycles");
-  const obs::Counter m_unavailable = sim_metrics.counter("sim.unavailable_requests");
-  const obs::Counter m_op_timeouts = sim_metrics.counter("sim.op_timeouts");
-  const obs::Counter m_reads_degraded = sim_metrics.counter("sim.reads_degraded");
-  const obs::Counter m_writes_degraded = sim_metrics.counter("sim.writes_degraded");
-  const obs::Counter m_replication_drops =
-      sim_metrics.counter("sim.replication_drops");
-  const obs::Counter m_crashes = sim_metrics.counter("sim.crashes");
-  const obs::Counter m_recoveries = sim_metrics.counter("sim.recoveries");
-  const obs::Counter m_wal_records = sim_metrics.counter("sim.wal_records_replayed");
-  const obs::Counter m_wal_bytes = sim_metrics.counter("sim.wal_bytes_replayed");
-  const obs::Counter m_wal_torn = sim_metrics.counter("sim.wal_torn_records");
-  const obs::Counter m_partitions = sim_metrics.counter("sim.partitions");
-  const obs::Counter m_heals = sim_metrics.counter("sim.heals");
-  const obs::Counter m_aae_sessions = sim_metrics.counter("sim.aae_sessions");
-  const obs::Counter m_joins = sim_metrics.counter("sim.joins");
-  const obs::Counter m_leaves = sim_metrics.counter("sim.leaves");
-  const obs::Counter m_rebalance_keys =
-      sim_metrics.counter("sim.rebalance_keys_shipped");
-  const obs::Counter m_rebalance_bytes =
-      sim_metrics.counter("sim.rebalance_wire_bytes");
-  const obs::Gauge m_in_flight_peak =
-      sim_metrics.gauge("sim.max_requests_in_flight");
+  auto note_in_flight = [&] {
+    result.max_requests_in_flight = std::max<std::uint64_t>(
+        result.max_requests_in_flight, store.requests_in_flight());
+  };
 
   struct ClientState {
     std::size_t remaining = 0;
@@ -93,11 +73,8 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
   std::size_t live_clients = config.clients;
 
   // While a replica is absorbed in a background repair session its
-  // foreground replies queue behind the repair work.  Sized to the full
-  // provisioned capacity: churn can bring slots >= servers into the ring.
-  const std::size_t capacity =
-      config.capacity == 0 ? config.servers : config.capacity;
-  std::vector<SimTime> repair_busy_until(capacity, 0.0);
+  // foreground replies queue behind the repair work.
+  std::vector<SimTime> repair_busy_until(config.servers, 0.0);
   auto server_stall = [&](kv::ReplicaId r) {
     const double stall = std::max(0.0, repair_busy_until[r] - queue.now());
     if (stall > 0.0) result.aae_stall_ms.add(stall);
@@ -135,14 +112,14 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
     store.pump();
     drain_completed();
     for (const auto& done : store.take_completed_syncs()) {
-      m_aae_sessions.inc();
+      ++result.aae_sessions;
       result.aae_stats.merge(done.stats);
       result.aae_session_bytes.add(static_cast<double>(done.stats.wire_bytes));
       const double duration =
-          static_cast<double>(done.stats.rounds) * config.network.base_ms +
+          static_cast<double>(done.stats.rounds) * kNetwork.base_ms +
           static_cast<double>(done.stats.wire_bytes) *
-              (1.0 / config.network.bandwidth_bytes_per_ms +
-               config.network.cpu_ms_per_byte);
+              (1.0 / kNetwork.bandwidth_bytes_per_ms +
+               kNetwork.cpu_ms_per_byte);
       const SimTime busy = queue.now() + duration;
       repair_busy_until[done.initiator] =
           std::max(repair_busy_until[done.initiator], busy);
@@ -188,19 +165,19 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
 
     const auto alive = alive_of(store.preference_list(st.key));
     if (alive.empty()) {
-      m_unavailable.inc();
+      ++result.unavailable_requests;
       begin_cycle(c);
       return;
     }
     const kv::ReplicaId source = alive[rng.index(alive.size())];
 
     // Request leg (tiny: key only), then the coordinated read.
-    const double request_leg = config.network.sample(rng, st.key.size() + 16);
+    const double request_leg = kNetwork.sample(rng, st.key.size() + 16);
     queue.schedule_in(request_leg, [&, c, source] {
       ClientState& state = clients[c];
       if (!store.alive(source)) {
         // Crashed while the request was in flight: timeout, retry later.
-        m_unavailable.inc();
+        ++result.unavailable_requests;
         begin_cycle(c);
         return;
       }
@@ -208,7 +185,7 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
       ropts.deadline_ticks = kNoTickDeadline;
       const std::uint64_t id =
           store.begin_read_at(state.key, source, config.read_quorum, ropts);
-      m_in_flight_peak.set_max(static_cast<double>(store.requests_in_flight()));
+      note_in_flight();
       if (store.request_terminal(id)) {  // R=1: the local read sufficed
         finish_get(c, id, source);
         return;
@@ -218,8 +195,8 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
       // pump that delivers whatever is due by then.
       for (std::size_t peer = 1; peer < config.read_quorum; ++peer) {
         const double scatter_leg =
-            config.network.sample(rng, state.key.size() + 24);
-        const double reply_leg = config.network.sample(rng, 64);
+            kNetwork.sample(rng, state.key.size() + 24);
+        const double reply_leg = kNetwork.sample(rng, 64);
         queue.schedule_in(scatter_leg, pump_transport);
         queue.schedule_in(scatter_leg + reply_leg, pump_transport);
       }
@@ -239,25 +216,25 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
     const kv::StoreReadHarvest harvest = store.take_read_result(id);
     if (harvest.outcome == kv::CoordOutcome::kTimeout ||
         harvest.outcome == kv::CoordOutcome::kUnavailable) {
-      m_op_timeouts.inc();
+      ++result.op_timeouts;
     }
     if (harvest.result.unavailable()) {
-      m_unavailable.inc();
+      ++result.unavailable_requests;
       begin_cycle(c);
       return;
     }
-    if (harvest.result.degraded) m_reads_degraded.inc();
+    if (harvest.result.degraded) ++result.reads_degraded;
     const std::size_t reply_bytes = 16 + harvest.state_bytes;
     // The client adopts the reply's opaque causal token on arrival.
     // A replica busy with background repair serves the read late.
     const double reply_leg =
-        config.network.sample(rng, reply_bytes) + server_stall(source);
+        kNetwork.sample(rng, reply_bytes) + server_stall(source);
     queue.schedule_in(reply_leg, [&, c, source, reply_bytes,
                                   token = harvest.result.token] {
       ClientState& cs = clients[c];
       if (!store.alive(source)) {
         // Crashed mid-reply: the connection drops, not the token.
-        m_unavailable.inc();
+        ++result.unavailable_requests;
         begin_cycle(c);
         return;
       }
@@ -277,12 +254,11 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
     // what the client actually uploads.
     const std::size_t request_bytes =
         st.key.size() + st.token.size() + config.value_bytes + 16;
-    result.put_request_bytes.add(static_cast<double>(request_bytes));
 
     const auto pref = store.preference_list(st.key);
     const auto alive = alive_of(pref);
     if (alive.empty()) {
-      m_unavailable.inc();
+      ++result.unavailable_requests;
       begin_cycle(c);
       return;
     }
@@ -291,12 +267,12 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
         "c" + std::to_string(c) + "-" + std::to_string(st.remaining) +
         std::string(config.value_bytes, 'x');
 
-    const double request_leg = config.network.sample(rng, request_bytes);
+    const double request_leg = kNetwork.sample(rng, request_bytes);
     queue.schedule_in(request_leg, [&, c, coordinator, pref, value, put_start] {
       ClientState& cs = clients[c];
       if (!store.alive(coordinator)) {
         // Crashed while the request was in flight: timeout, retry later.
-        m_unavailable.inc();
+        ++result.unavailable_requests;
         begin_cycle(c);
         return;
       }
@@ -317,20 +293,22 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
       // rejection here would be a harness bug, not client weather.
       DVV_ASSERT_MSG(begun.ok(), "simulate_store: own token rejected");
       const std::uint64_t id = begun.id;
-      m_in_flight_peak.set_max(static_cast<double>(store.requests_in_flight()));
+      note_in_flight();
       const kv::PutReceipt& receipt = store.peek_write_receipt(id);
       // Targets already dead at send time never even get a message.
-      m_replication_drops.inc((pref.size() - 1) - receipt.replicated_to);
+      for (const kv::ReplicaId r : pref) {
+        if (r != coordinator && !store.alive(r)) ++result.replication_drops;
+      }
       const std::size_t replica_bytes =
           receipt.replicated_to == 0
               ? 0
               : receipt.replication_bytes / receipt.replicated_to;
       for (std::size_t i = 0; i < receipt.replicated_to; ++i) {
-        const double fanout_leg = config.network.sample(rng, replica_bytes);
+        const double fanout_leg = kNetwork.sample(rng, replica_bytes);
         queue.schedule_in(fanout_leg, pump_transport);
         if (config.write_quorum > 1) {
           // The ack leg back to the coordinator needs its own pump.
-          queue.schedule_in(fanout_leg + config.network.sample(rng, 24),
+          queue.schedule_in(fanout_leg + kNetwork.sample(rng, 24),
                             pump_transport);
         }
       }
@@ -355,16 +333,16 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
     const kv::PutReceipt receipt = store.take_write_receipt(id);
     if (receipt.outcome == kv::CoordOutcome::kTimeout ||
         receipt.outcome == kv::CoordOutcome::kUnavailable) {
-      m_op_timeouts.inc();
+      ++result.op_timeouts;
     }
-    if (receipt.degraded) m_writes_degraded.inc();
+    if (receipt.degraded) ++result.writes_degraded;
     const double ack_leg =
-        config.network.sample(rng, 32) + server_stall(coordinator);
+        kNetwork.sample(rng, 32) + server_stall(coordinator);
     queue.schedule_in(ack_leg, [&, c, put_start] {
       ClientState& done = clients[c];
       result.put_latency_ms.add(queue.now() - put_start);
       result.cycle_latency_ms.add(queue.now() - done.cycle_start);
-      m_cycles.inc();
+      ++result.cycles;
       begin_cycle(c);
     });
   };
@@ -402,7 +380,7 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
     if (b >= a) ++b;
     if (store.alive(a) && store.alive(b)) {
       (void)store.request_sync(a, b);
-      queue.schedule_in(config.network.sample(rng, 32), pump_transport);
+      queue.schedule_in(kNetwork.sample(rng, 32), pump_transport);
     }
     queue.schedule_in(config.aae_interval_ms, aae_tick);
   };
@@ -418,10 +396,10 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
     if (!store.transport().partitioned() && config.servers >= 2) {
       store.partition(net::random_split<kv::ReplicaId>(rng, config.servers),
                       "storm");
-      m_partitions.inc();
+      ++result.partitions;
       queue.schedule_in(config.partition_duration_ms, [&] {
         store.heal();
-        m_heals.inc();
+        ++result.heals;
       });
     }
     queue.schedule_in(rng.exponential(config.partition_interval_ms),
@@ -449,19 +427,18 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
                                    ? 1 + rng.index(32)
                                    : 0;
       store.crash(victim, torn);
-      m_crashes.inc();
+      ++result.crashes;
       queue.schedule_in(config.crash_downtime_ms, [&, victim] {
         const store::RecoveryStats replay = store.recover(victim);
-        m_recoveries.inc();
-        m_wal_records.inc(replay.records_replayed);
-        m_wal_bytes.inc(replay.bytes_replayed);
-        m_wal_torn.inc(replay.torn_records_dropped);
+        ++result.recoveries;
+        result.wal_records_replayed += replay.records_replayed;
+        result.wal_torn_records += replay.torn_records_dropped;
         // Log replay occupies the server like repair traffic does:
         // sequential read + decode of the surviving records.
         const double replay_ms =
             static_cast<double>(replay.bytes_replayed) *
-            (1.0 / config.network.bandwidth_bytes_per_ms +
-             config.network.cpu_ms_per_byte);
+            (1.0 / kNetwork.bandwidth_bytes_per_ms +
+             kNetwork.cpu_ms_per_byte);
         repair_busy_until[victim] =
             std::max(repair_busy_until[victim], queue.now() + replay_ms);
       });
@@ -470,63 +447,6 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
   };
   if (config.crash_interval_ms > 0.0) {
     queue.schedule_in(rng.exponential(config.crash_interval_ms), crash_tick);
-  }
-
-  // Ring churn: one membership transition at a time, rebalanced to
-  // completion on the spot (the facade's join/leave stop nothing here —
-  // the sim transport is inline — but the transfer walks are the same
-  // Merkle sessions a real rebalance runs).  A transition needs every
-  // transfer source reachable, so an instant with a crashed member or
-  // an active partition is skipped, not retried early: churn is an
-  // operator action, and operators wait for a healthy ring.
-  std::function<void()> churn_tick = [&] {
-    if (live_clients == 0) return;
-    queue.schedule_in(rng.exponential(config.churn_interval_ms), churn_tick);
-    if (store.transport().partitioned()) return;
-    const std::vector<kv::ReplicaId> members = store.members();
-    for (const kv::ReplicaId m : members) {
-      if (!store.alive(m)) return;  // dead transfer source: skip this tick
-    }
-    std::vector<kv::ReplicaId> joinable;
-    for (std::size_t r = 0; r < capacity; ++r) {
-      const auto id = static_cast<kv::ReplicaId>(r);
-      if (store.alive(id) &&
-          std::find(members.begin(), members.end(), id) == members.end()) {
-        joinable.push_back(id);
-      }
-    }
-    const bool can_join = !joinable.empty();
-    const bool can_leave = members.size() > config.replication;
-    if (!can_join && !can_leave) return;
-    const bool join = can_join && (!can_leave || rng.chance(0.5));
-    if (join) {
-      const bool ok = store.join_node(joinable[rng.index(joinable.size())]);
-      DVV_ASSERT_MSG(ok, "sim churn: join precondition broken");
-      m_joins.inc();
-    } else {
-      const bool ok = store.leave_node(members[rng.index(members.size())]);
-      DVV_ASSERT_MSG(ok, "sim churn: leave precondition broken");
-      m_leaves.inc();
-    }
-    const membership::RebalanceStats done = store.complete_rebalance();
-    m_rebalance_keys.inc(done.totals.keys_shipped);
-    m_rebalance_bytes.inc(done.totals.wire_bytes);
-    // The walks' wire traffic occupies the ring like repair traffic:
-    // foreground requests queue behind the rebalance everywhere (the
-    // walks touch old owners and new owners across the whole plan).
-    const double busy_ms =
-        static_cast<double>(done.totals.wire_bytes) *
-        (1.0 / config.network.bandwidth_bytes_per_ms +
-         config.network.cpu_ms_per_byte);
-    if (busy_ms > 0.0) {
-      for (const kv::ReplicaId m : store.members()) {
-        repair_busy_until[m] =
-            std::max(repair_busy_until[m], queue.now() + busy_ms);
-      }
-    }
-  };
-  if (config.churn_interval_ms > 0.0) {
-    queue.schedule_in(rng.exponential(config.churn_interval_ms), churn_tick);
   }
 
   for (std::size_t c = 0; c < config.clients; ++c) {
@@ -539,30 +459,7 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
   while (!store.transport().idle()) pump_transport();
 
   result.sim_duration_ms = queue.now();
-  m_replication_drops.inc(store.delivery_drops().replicate);
-
-  // Fold the registry cells back into the result's view fields.
-  result.cycles = m_cycles.value();
-  result.unavailable_requests = m_unavailable.value();
-  result.op_timeouts = m_op_timeouts.value();
-  result.reads_degraded = m_reads_degraded.value();
-  result.writes_degraded = m_writes_degraded.value();
-  result.replication_drops = m_replication_drops.value();
-  result.crashes = m_crashes.value();
-  result.recoveries = m_recoveries.value();
-  result.wal_records_replayed = m_wal_records.value();
-  result.wal_bytes_replayed = m_wal_bytes.value();
-  result.wal_torn_records = m_wal_torn.value();
-  result.partitions = m_partitions.value();
-  result.heals = m_heals.value();
-  result.aae_sessions = m_aae_sessions.value();
-  result.joins = m_joins.value();
-  result.leaves = m_leaves.value();
-  result.rebalance_keys_shipped = m_rebalance_keys.value();
-  result.rebalance_wire_bytes = m_rebalance_bytes.value();
-  result.final_ring_epoch = store.ring_epoch();
-  result.max_requests_in_flight =
-      static_cast<std::uint64_t>(m_in_flight_peak.value());
+  result.replication_drops += store.delivery_drops().replicate;
 
   const net::TransportStats& net_stats = store.transport().stats();
   result.messages_sent = net_stats.sent;

@@ -10,7 +10,8 @@
 //        -> (coordinator applies, acks; replication fans out ASYNC)
 //        -> PUT ack -> think -> ...
 //
-// Every network leg's delay is sampled from the LatencyModel with the
+// Every network leg's delay is sampled from the default LatencyModel
+// (sim/latency.hpp: the fixed LAN the paper's cluster sat on) with the
 // *actual serialized size* of what crosses the wire: GET replies carry
 // the sibling values plus their clocks, PUT requests carry the causal
 // token plus the value.  Mechanisms with bigger clocks therefore pay
@@ -45,7 +46,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/latency.hpp"
 #include "store/backend.hpp"
 #include "sync/anti_entropy.hpp"
 #include "util/stats.hpp"
@@ -71,7 +71,6 @@ struct SimStoreConfig {
   std::size_t ops_per_client = 200;  ///< read-modify-write cycles per client
   double think_ms = 2.0;             ///< mean think time between cycles
   std::size_t value_bytes = 64;      ///< payload size per write
-  LatencyModel network{};
   std::uint64_t seed = 1;
 
   /// Cluster topology (was hardcoded 5/3: partition scenarios need to
@@ -79,7 +78,6 @@ struct SimStoreConfig {
   /// 9-server one can lose a minority group and keep serving).
   std::size_t servers = 5;
   std::size_t replication = 3;
-  std::size_t vnodes = 64;
 
   /// Transport fault injection on the replication/sync message layer
   /// (net::SimTransport): per-message drop/duplicate probability and
@@ -121,19 +119,6 @@ struct SimStoreConfig {
   /// torn frame is rejected by CRC at recovery.
   double torn_write_probability = 0.0;
 
-  /// Ring churn: every ~`churn_interval_ms` (exponential) the ring takes
-  /// ONE membership transition — a provisioned non-member joins (slots
-  /// [servers, capacity) start outside the ring; a slot that departed
-  /// earlier may rejoin) or a member beyond the replication floor
-  /// gracefully leaves — and the rebalance runs to completion on the
-  /// spot.  The transfer walks' wire bytes occupy the ring the way
-  /// repair traffic does, so foreground requests stall behind a
-  /// rebalance exactly as they stall behind anti-entropy.  A transition
-  /// is skipped while any member is crashed or a partition is active
-  /// (every transfer source must be reachable).  0 disables churn.
-  double churn_interval_ms = 0.0;
-  std::size_t capacity = 0;  ///< provisioned replica slots (0 = servers)
-
   /// Quorum coordination (src/kv/coordinator.hpp): a GET completes at
   /// `read_quorum` distinct replies, a PUT at `write_quorum` distinct
   /// acks (the coordinator's local apply/read is the first of each).
@@ -153,7 +138,6 @@ struct SimStoreResult {
   util::Samples put_latency_ms;   ///< request->ack round trip
   util::Samples cycle_latency_ms; ///< full GET+PUT cycle
   util::Samples get_reply_bytes;  ///< serialized reply payloads
-  util::Samples put_request_bytes;
   double sim_duration_ms = 0.0;
   std::uint64_t cycles = 0;
 
@@ -167,7 +151,6 @@ struct SimStoreResult {
   std::uint64_t crashes = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t wal_records_replayed = 0;
-  std::uint64_t wal_bytes_replayed = 0;
   std::uint64_t wal_torn_records = 0;      ///< CRC-rejected torn tails
   std::uint64_t unavailable_requests = 0;  ///< GET/PUT hit no alive replica
   std::uint64_t replication_drops = 0;     ///< fan-out lost to a dead target
@@ -180,13 +163,6 @@ struct SimStoreResult {
   std::uint64_t partition_drops = 0;       ///< lost to a cut link
   std::uint64_t partitions = 0;            ///< partition events injected
   std::uint64_t heals = 0;
-
-  // Ring-churn activity (zero when churn_interval_ms == 0).
-  std::uint64_t joins = 0;
-  std::uint64_t leaves = 0;
-  std::uint64_t rebalance_keys_shipped = 0;  ///< states moved by transfers
-  std::uint64_t rebalance_wire_bytes = 0;    ///< digests + shipped states
-  std::uint64_t final_ring_epoch = 0;        ///< membership epoch at the end
 
   // Quorum-coordination activity (src/kv/coordinator.hpp).
   std::uint64_t reads_degraded = 0;        ///< completed below read_quorum

@@ -54,8 +54,8 @@ std::vector<std::size_t> diff_leaves(const MerkleTree& a, const MerkleTree& b,
   return frontier;
 }
 
-DigestIndex::DigestIndex(std::size_t replicas, MerkleConfig config)
-    : config_(config), trees_(replicas), dirty_(replicas), empty_(config) {}
+DigestIndex::DigestIndex(std::size_t replicas)
+    : trees_(replicas), dirty_(replicas) {}
 
 void DigestIndex::on_key_touched(core::ActorId replica, const std::string& key) {
   DVV_ASSERT(replica < trees_.size());
@@ -114,7 +114,7 @@ MerkleTree& DigestIndex::tree_slot(std::size_t replica, PartitionId p) {
   auto& slots = trees_[replica];
   const auto it = slots.find(p);
   if (it != slots.end()) return it->second;
-  return slots.emplace(p, MerkleTree(config_)).first->second;
+  return slots.emplace(p, MerkleTree{}).first->second;
 }
 
 }  // namespace dvv::sync

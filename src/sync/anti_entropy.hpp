@@ -91,7 +91,7 @@ class DigestIndex final : public KeyObserver {
       std::function<std::vector<core::ActorId>(const std::string& key)>;
 
   DigestIndex() = default;
-  DigestIndex(std::size_t replicas, MerkleConfig config);
+  explicit DigestIndex(std::size_t replicas);
 
   /// Must be set before the first refresh().
   void set_partitioner(Partitioner partitioner) {
@@ -149,7 +149,6 @@ class DigestIndex final : public KeyObserver {
       const std::vector<core::ActorId>& owners);
   [[nodiscard]] MerkleTree& tree_slot(std::size_t replica, PartitionId p);
 
-  MerkleConfig config_{};
   Partitioner partitioner_;
   std::vector<std::map<PartitionId, MerkleTree>> trees_;  // per replica
   std::vector<std::set<std::string>> dirty_;  // sorted: deterministic refresh

@@ -31,8 +31,6 @@ struct ReplayStats {
   std::uint64_t recoveries = 0;
   std::uint64_t partitions = 0;
   std::uint64_t heals = 0;
-  std::uint64_t joins = 0;           ///< ring churn: nodes joined
-  std::uint64_t leaves = 0;          ///< ring churn: graceful departures
   std::uint64_t ticks = 0;           ///< async replay: transport pumps
   std::uint64_t op_timeouts = 0;     ///< async ops that missed their deadline
   std::uint64_t max_in_flight = 0;   ///< concurrent client ops peak
@@ -210,26 +208,6 @@ class StoreReplayer {
         // interleaved with later operations.
         store_->pump();
         ++stats_.ticks;
-        break;
-      }
-      case TraceOp::Kind::kJoin:
-      case TraceOp::Kind::kLeave: {
-        // Membership transition, completed inline: drain queued traffic
-        // first (a rebalance wants no replication in flight toward the
-        // old owners), mint the epoch, then walk every transfer to
-        // completion so the next op already routes on the new ring.
-        (void)store_->pump_all();
-        const auto server = static_cast<kv::ReplicaId>(op.server);
-        if (op.kind == TraceOp::Kind::kJoin) {
-          const bool ok = store_->join_node(server);
-          DVV_ASSERT_MSG(ok, "StoreReplayer: trace join precondition broken");
-          ++stats_.joins;
-        } else {
-          const bool ok = store_->leave_node(server);
-          DVV_ASSERT_MSG(ok, "StoreReplayer: trace leave precondition broken");
-          ++stats_.leaves;
-        }
-        (void)store_->complete_rebalance();
         break;
       }
     }

@@ -49,20 +49,6 @@ Trace generate_trace(const WorkloadSpec& spec, std::size_t replication) {
                  "partition injection needs spec.servers >= 2");
   bool partitioned = false;
 
-  // Churn-injection state: which provisioned slots are ring members.
-  // Slots [servers, capacity) start outside the ring and may join;
-  // members may leave down to the replication floor; a departed slot
-  // may rejoin (the replayed cluster bumps its clock incarnation).
-  const bool inject_churn =
-      spec.join_probability > 0.0 || spec.leave_probability > 0.0;
-  const std::size_t capacity = spec.capacity == 0 ? spec.servers : spec.capacity;
-  DVV_ASSERT_MSG(!inject_churn ||
-                     (spec.servers >= replication && capacity >= spec.servers),
-                 "churn injection needs spec.servers and capacity set");
-  std::vector<bool> member(inject_churn ? capacity : 0, false);
-  std::size_t member_count = spec.servers;
-  for (std::size_t s = 0; s < spec.servers && inject_churn; ++s) member[s] = true;
-
   std::uint64_t write_seq = 0;
   for (std::size_t op = 0; op < spec.operations; ++op) {
     if (spec.anti_entropy_every != 0 && op != 0 &&
@@ -114,33 +100,6 @@ Trace generate_trace(const WorkloadSpec& spec, std::size_t replication) {
       }
     }
 
-    if (inject_churn && down_count == 0 && !partitioned) {
-      // Membership transitions are operator actions at healthy moments:
-      // the replayers complete each rebalance inline, which needs every
-      // transfer source alive and reachable.  At most one transition
-      // per op keeps epochs totally ordered with the surrounding ops.
-      if (member_count < capacity && rng.chance(spec.join_probability)) {
-        std::size_t joiner = rng.index(capacity);
-        while (member[joiner]) joiner = rng.index(capacity);
-        member[joiner] = true;
-        ++member_count;
-        TraceOp join;
-        join.kind = TraceOp::Kind::kJoin;
-        join.server = joiner;
-        trace.ops.push_back(std::move(join));
-      } else if (member_count > replication &&
-                 rng.chance(spec.leave_probability)) {
-        std::size_t leaver = rng.index(capacity);
-        while (!member[leaver]) leaver = rng.index(capacity);
-        member[leaver] = false;
-        --member_count;
-        TraceOp leave;
-        leave.kind = TraceOp::Kind::kLeave;
-        leave.server = leaver;
-        trace.ops.push_back(std::move(leave));
-      }
-    }
-
     if (spec.async_quorum && rng.chance(spec.tick_probability)) {
       // One pump of network time between client operations: in-flight
       // scatter, replies and fan-out land (or expire) here, so async
@@ -152,8 +111,7 @@ Trace generate_trace(const WorkloadSpec& spec, std::size_t replication) {
     }
 
     kv::Key key = "key-" + std::to_string(zipf.sample(rng));
-    const std::size_t rank =
-        spec.spread_coordination ? rng.index(replication) : 0;
+    const std::size_t rank = rng.index(replication);  // coordinating slot
 
     const bool rmw = rng.chance(spec.read_before_write);
     const std::size_t client = rmw ? rng.index(spec.clients) : next_anonymous++;

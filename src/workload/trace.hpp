@@ -36,8 +36,6 @@ struct TraceOp {
     kPartition,    ///< network splits into `groups` (messages crossing are lost)
     kHeal,         ///< the partition heals; every link carries again
     kTick,         ///< async replay: one transport pump + coordination tick
-    kJoin,         ///< server `server` joins the ring (rebalance completes inline)
-    kLeave,        ///< server `server` gracefully leaves the ring
   };
 
   Kind kind = Kind::kGet;
@@ -47,7 +45,7 @@ struct TraceOp {
   std::vector<std::size_t> replicate_ranks;  ///< PUT: slots reached immediately
   bool blind = false;      ///< PUT: ignore any remembered context (classic overwrite)
   kv::Value value;         ///< PUT payload (unique per write: "w<seq>")
-  std::size_t server = 0;  ///< kFail/kRecover/kJoin/kLeave: absolute server id
+  std::size_t server = 0;  ///< kFail/kRecover: absolute server id
   std::vector<std::vector<std::size_t>> groups;  ///< kPartition: isolated server groups
 };
 
@@ -89,8 +87,6 @@ struct WorkloadSpec {
   double read_before_write = 0.9;   ///< P(write is read-modify-write)
   double replicate_probability = 1.0;  ///< P(each non-coordinator replica
                                        ///  receives the write immediately)
-  bool spread_coordination = true;  ///< coordinator uniform over preference
-                                    ///  list (vs always slot 0)
   std::size_t anti_entropy_every = 0;  ///< ops between AE rounds (0 = never)
   std::size_t value_bytes = 16;     ///< payload size per write
 
@@ -116,19 +112,6 @@ struct WorkloadSpec {
   /// replays can converge.  Requires spec.servers >= 2.
   double partition_probability = 0.0;
   double heal_probability = 0.0;
-
-  /// Ring churn injection: per-operation probability that a provisioned
-  /// non-member joins (kJoin) / that a member beyond the replication
-  /// floor gracefully leaves (kLeave).  Requires `capacity` >= servers
-  /// (slots [servers, capacity) start outside the seed ring, matching
-  /// ClusterConfig/StoreConfig defaults).  Churn ops are emitted only at
-  /// healthy moments — no member down, no partition active — because
-  /// the replayers complete each rebalance inline, which needs every
-  /// transfer source reachable.  A slot that left earlier may rejoin,
-  /// exercising the clock-incarnation bump.
-  double join_probability = 0.0;
-  double leave_probability = 0.0;
-  std::size_t capacity = 0;  ///< provisioned replica slots (0 = servers)
 
   /// Asynchronous quorum coordination: when set, GET/PUT trace ops are
   /// replayed as in-flight coordinator requests (R = read_quorum acks a

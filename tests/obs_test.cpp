@@ -240,9 +240,6 @@ TEST(Exporters, EmptyRegistrySnapshotsAreWellFormed) {
 // ---- global catalogs -------------------------------------------------------
 
 TEST(GlobalCatalogs, CatalogHandlesFeedTheGlobalRegistry) {
-#if defined(DVV_OBS_DISABLED)
-  GTEST_SKIP() << "catalogs are compile-time no-ops under DVV_OBS_OFF";
-#else
   const bool was_enabled = dvv::obs::registry().enabled();
   dvv::obs::set_metrics_enabled(true);
   const std::uint64_t before =
@@ -251,7 +248,6 @@ TEST(GlobalCatalogs, CatalogHandlesFeedTheGlobalRegistry) {
   EXPECT_EQ(dvv::obs::registry().counter_value("coord.reads_started"),
             before + 1);
   dvv::obs::set_metrics_enabled(was_enabled);
-#endif
 }
 
 // ---- flight recorder -------------------------------------------------------

@@ -12,8 +12,11 @@
 
 #include <string>
 
+#include "sim/latency.hpp"
+
 namespace {
 
+using dvv::sim::LatencyModel;
 using dvv::sim::simulate_store;
 using dvv::sim::SimStoreConfig;
 using dvv::sim::SimStoreResult;
@@ -60,11 +63,10 @@ TEST(SimStore, DifferentSeedsDiffer) {
 
 TEST(SimStore, LatencyRespectsPhysicalLowerBound) {
   // A cycle is at least: 4 one-way legs (GET req/reply, PUT req/ack),
-  // each >= base_ms.
-  const auto config = small_config();
-  const auto result = simulate_store(config);
-  EXPECT_GE(result.cycle_latency_ms.min(), 4 * config.network.base_ms);
-  EXPECT_GE(result.get_latency_ms.min(), 2 * config.network.base_ms);
+  // each >= base_ms of the default LAN model the simulator samples.
+  const auto result = simulate_store(small_config());
+  EXPECT_GE(result.cycle_latency_ms.min(), 4 * LatencyModel{}.base_ms);
+  EXPECT_GE(result.get_latency_ms.min(), 2 * LatencyModel{}.base_ms);
 }
 
 TEST(SimStore, CycleAtLeastGetPlusPut) {
@@ -119,11 +121,15 @@ SimStoreConfig crashy_config() {
 TEST(SimStoreCrash, WalClusterSurvivesCrashStorm) {
   auto config = crashy_config();
   config.storage.kind = dvv::store::BackendKind::kWal;
+  // Group commit leaves an un-flushed tail for a crash to tear; with a
+  // flush per append there is nothing to tear.
+  config.storage.wal.flush_every = 4;
   config.torn_write_probability = 0.5;
   const auto result = simulate_store(config);
   EXPECT_GT(result.crashes, 0u);
   EXPECT_EQ(result.recoveries, result.crashes) << "every crash recovers";
   EXPECT_GT(result.wal_records_replayed, 0u) << "recovery replays the log";
+  EXPECT_GT(result.wal_torn_records, 0u) << "some crash tore a write";
   EXPECT_GT(result.cycles, 0u);
   // Every issued request either completed a cycle or hit an outage.
   EXPECT_EQ(result.cycles + result.unavailable_requests,
@@ -192,6 +198,8 @@ TEST(SimStoreNet, PartitionStormsLoseMessagesAndAaeRepairs) {
   EXPECT_GT(result.partitions, 0u);
   EXPECT_EQ(result.partitions, result.heals) << "every storm passes";
   EXPECT_GT(result.partition_drops, 0u) << "some fan-out died on the cut";
+  EXPECT_EQ(result.replication_drops, 0u)
+      << "no replica died: a cut link is a partition drop, not a dead target";
   EXPECT_GT(result.messages_duplicated, 0u);
   EXPECT_EQ(result.cycles,
             static_cast<std::uint64_t>(config.clients) * config.ops_per_client)

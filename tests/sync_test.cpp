@@ -161,7 +161,7 @@ TEST(DiffLeaves, DisjointKeySpacesDiffer) {
 // ---- DigestIndex -----------------------------------------------------------
 
 TEST(DigestIndex, RefreshFoldsDirtyKeys) {
-  DigestIndex index(2, MerkleConfig{});
+  DigestIndex index(2);
   index.set_partitioner([](const std::string&) {
     return std::vector<dvv::core::ActorId>{0, 1};
   });
@@ -194,7 +194,7 @@ TEST(DigestIndex, RefreshFoldsDirtyKeys) {
 TEST(DigestIndex, PartitionIdIsAPureRead) {
   // Shard threads route through partition_id concurrently mid-rebalance:
   // it must agree with partition_of without registering anything.
-  DigestIndex index(3, MerkleConfig{});
+  DigestIndex index(3);
   index.set_partitioner([](const std::string& key) {
     return key == "a" ? std::vector<dvv::core::ActorId>{0, 1}
                       : std::vector<dvv::core::ActorId>{1, 2};
@@ -207,7 +207,7 @@ TEST(DigestIndex, PartitionIdIsAPureRead) {
 }
 
 TEST(DigestIndex, DuplicateTouchesCollapse) {
-  DigestIndex index(1, MerkleConfig{});
+  DigestIndex index(1);
   for (int i = 0; i < 10; ++i) index.on_key_touched(0, "hot");
   EXPECT_EQ(index.dirty_count(0), 1u);
 }

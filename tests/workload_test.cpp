@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 
+#include "kv/ring.hpp"
 #include "kv/store.hpp"
 #include "workload/replay.hpp"
 
@@ -150,6 +152,62 @@ TEST(Trace, RanksStayWithinReplication) {
       EXPECT_NE(r, op.rank);
     }
   }
+}
+
+// Pins the generator's draw sequence.  The oracle, pruning and metadata
+// benches replay traces from this generator, so any change to what it
+// draws, or in which order, moves their output; this fingerprint of
+// every field of every op catches that in the test suite.  The spec
+// turns on every branch that draws: failures, partitions, async ticks,
+// blind writes and partial replication.
+TEST(Trace, GoldenDigest) {
+  WorkloadSpec spec;
+  spec.keys = 40;
+  spec.clients = 6;
+  spec.operations = 1500;
+  spec.read_before_write = 0.7;
+  spec.replicate_probability = 0.5;
+  spec.anti_entropy_every = 200;
+  spec.value_bytes = 12;
+  spec.servers = 5;
+  spec.fail_probability = 0.03;
+  spec.recover_probability = 0.2;
+  spec.partition_probability = 0.02;
+  spec.heal_probability = 0.2;
+  spec.async_quorum = true;
+  spec.read_quorum = 2;
+  spec.write_quorum = 2;
+  spec.seed = 2012;
+  const Trace t = generate_trace(spec, 3);
+
+  std::set<TraceOp::Kind> kinds;
+  std::size_t blind = 0, partial = 0;
+  std::ostringstream text;
+  text << t.clients;
+  for (const TraceOp& op : t.ops) {
+    kinds.insert(op.kind);
+    blind += op.blind;
+    partial += op.kind == TraceOp::Kind::kPut && op.replicate_ranks.size() < 2;
+    text << '\n' << static_cast<int>(op.kind) << '|' << op.client << '|'
+         << op.key << '|' << op.rank << '|' << op.blind << '|' << op.value
+         << '|' << op.server << '|';
+    for (const std::size_t r : op.replicate_ranks) text << r << ',';
+    text << '|';
+    for (const auto& group : op.groups) {
+      for (const std::size_t s : group) text << s << ',';
+      text << ';';
+    }
+  }
+  for (const TraceOp::Kind k :
+       {TraceOp::Kind::kGet, TraceOp::Kind::kPut, TraceOp::Kind::kAntiEntropy,
+        TraceOp::Kind::kFail, TraceOp::Kind::kRecover, TraceOp::Kind::kPartition,
+        TraceOp::Kind::kHeal, TraceOp::Kind::kTick}) {
+    EXPECT_TRUE(kinds.contains(k)) << static_cast<int>(k);
+  }
+  EXPECT_GT(blind, 0u);
+  EXPECT_GT(partial, 0u);
+  EXPECT_EQ(t.size(), 3539u);
+  EXPECT_EQ(dvv::kv::Ring::hash(text.str()), 4781551697359237903ULL);
 }
 
 TEST(Replay, CountsMatchTrace) {
