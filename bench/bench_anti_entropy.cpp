@@ -4,9 +4,9 @@
 // Setup: a 5-server R=3 cluster fully converged on K keys; then a
 // fraction d of the keys receives an update that reaches only its
 // coordinator (maximal per-key divergence).  Repairing that state with
-// the legacy full pass ships every key's state regardless of d; the
-// digest pass (src/sync) ships Merkle hashes first and state only for
-// the divergent keys.  Expected shape: digest wire bytes scale with d
+// a full gather-merge-scatter pass would ship every key's state
+// regardless of d; the digest pass (src/sync) ships Merkle hashes first
+// and state only for the divergent keys.  Expected shape: digest wire bytes scale with d
 // (plus a small tree-walk overhead) and undercut the full pass for
 // every d < 100%; at d = 100% the hash exchange is pure overhead and
 // the full pass wins slightly — exactly the trade Riak's AAE makes.
@@ -61,11 +61,11 @@ struct Row {
   std::size_t full_wire_bytes = 0;
 };
 
-/// Wire bytes the legacy full pass would move for the cluster's current
-/// state: per key, every alive preference replica ships its state to
-/// the coordinator (gather) and receives the merge back (scatter) —
-/// the coordinator's own copies stay local.  Pure accounting; does not
-/// mutate the cluster.
+/// Wire bytes a full gather-merge-scatter pass would move for the
+/// cluster's current state: per key, every alive preference replica
+/// ships its state to the coordinator (gather) and receives the merge
+/// back (scatter) — the coordinator's own copies stay local.  Pure
+/// accounting; does not mutate the cluster.
 template <typename M>
 std::size_t full_pass_wire_bytes(Cluster<M>& cluster) {
   using Stored = typename M::Stored;
@@ -130,8 +130,8 @@ Row run_one(const char* name, std::size_t divergence_pct) {
 
   DVV_ASSERT_MSG(row.digest_keys_shipped == diverged,
                  "digest pass must repair exactly the diverged keys");
-  DVV_ASSERT_MSG(cluster.anti_entropy() == 0,
-                 "digest pass must leave nothing for the legacy pass");
+  DVV_ASSERT_MSG(cluster.anti_entropy_digest().stats.keys_shipped == 0,
+                 "digest pass must reach its fixed point");
   return row;
 }
 

@@ -145,7 +145,7 @@ void run_one(const char* name, std::size_t keys, std::size_t divergence_pct,
 
   DVV_ASSERT_MSG(divergence_pct > 0 || rejoin.totals.keys_shipped == 0,
                  "a zero-divergence rejoin must be digest-only");
-  DVV_ASSERT_MSG(cluster.anti_entropy() == 0,
+  DVV_ASSERT_MSG(cluster.anti_entropy_digest().stats.keys_shipped == 0,
                  "a completed rebalance must leave nothing to repair");
 }
 

@@ -263,8 +263,7 @@ Row bench_roof() {
 /// Sum of the net.alloc.* miss counters — what the message hot path
 /// took from the global allocator while the registry was live.
 std::uint64_t net_alloc_total() {
-  return dvv::obs::registry().counter_value("net.alloc.messages") +
-         dvv::obs::registry().counter_value("net.alloc.envelopes") +
+  return dvv::obs::registry().counter_value("net.alloc.envelopes") +
          dvv::obs::registry().counter_value("net.alloc.encode_buffers");
 }
 
@@ -328,8 +327,8 @@ Row bench_partition(std::size_t partition_ops) {
   row.wall_ms = ms_since(start);
   row.keys_shipped = report.stats.keys_shipped;
   row.repair_wire_bytes = report.stats.wire_bytes;
-  DVV_ASSERT_MSG(cluster.anti_entropy() == 0,
-                 "digest repair must reach the legacy fixed point");
+  DVV_ASSERT_MSG(cluster.anti_entropy_digest().stats.keys_shipped == 0,
+                 "digest repair must reach its fixed point");
   return row;
 }
 

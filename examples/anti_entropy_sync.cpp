@@ -76,13 +76,13 @@ int main() {
 
   // One anti-entropy round fixes everything: newest data everywhere,
   // Bob's concurrent write preserved as a sibling, stale data gone.
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   survey("after one anti-entropy round:", cluster, key);
 
   // Idempotence: more rounds change nothing.
   const auto before = cluster.footprint();
-  cluster.anti_entropy();
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
+  cluster.anti_entropy_digest();
   const auto after = cluster.footprint();
   std::printf("two more anti-entropy rounds: siblings %zu -> %zu, "
               "metadata bytes %zu -> %zu (unchanged)\n\n",
@@ -95,7 +95,7 @@ int main() {
     std::printf("reconciling %zu siblings...\n", siblings.size());
     return std::string("count=93(reconciled)");
   });
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   survey("after reconciliation:", cluster, key);
   return 0;
 }

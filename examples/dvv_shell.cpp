@@ -155,7 +155,9 @@ class Shell {
       return true;
     }
     if (cmd == "sync") {
-      std::printf("anti-entropy touched %zu states\n", cluster_.anti_entropy());
+      const auto report = cluster_.anti_entropy_digest();
+      std::printf("anti-entropy shipped %zu key(s) in %zu session(s)\n",
+                  report.stats.keys_shipped, report.sessions);
       return true;
     }
     if (cmd == "handoff") {

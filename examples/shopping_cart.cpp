@@ -85,7 +85,7 @@ void run_scenario(Store& store, const char* title) {
   // A first item, fully propagated.
   phone.get(key);
   phone.put(key, "book");
-  store.anti_entropy();
+  store.anti_entropy_digest();
 
   // Both devices read the same state (each pockets an opaque token)...
   phone.get(key);
@@ -98,7 +98,7 @@ void run_scenario(Store& store, const char* title) {
                 pref);
   laptop.put_via(key, coordinator, "book,socks", pref);
 
-  store.anti_entropy();
+  store.anti_entropy_digest();
   print_cart("carts after the race + replica sync:", store, key);
 
   // The next reader merges whatever siblings exist.

@@ -20,12 +20,17 @@
 // rebuilds from the replica's storage backend (src/store), after which
 // anti-entropy repairs whatever the durability model lost.  Network
 // faults are the transport's (src/net): everything that crosses
-// between replicas — put fan-out, hint stash/delivery, anti-entropy
-// session initiation — is a typed message serialized through the codec
-// and handed to a pluggable net::Transport, so partitions, reordering,
-// duplication and in-flight loss are expressible.  The default
-// InlineTransport delivers synchronously in send order — byte-identical
-// to direct calls (tests/transport_equivalence_test.cpp).
+// between replicas on the data plane — put fan-out, hint
+// stash/delivery, quorum coordination — is a typed message serialized
+// through the codec and handed to a pluggable net::Transport, so
+// partitions, reordering, duplication and in-flight loss are
+// expressible.  The default InlineTransport delivers synchronously in
+// send order — byte-identical to direct calls
+// (tests/transport_equivalence_test.cpp).  Anti-entropy sessions and
+// rebalance transfer walks are control-plane: they run in place between
+// alive replicas whose link is up and meter their rounds and bytes
+// without sending, so a partition blocks them but they never draw from
+// a transport's fault stream.
 //
 // Client path: GET/PUT coordination is a per-request state machine
 // (src/kv/coordinator.hpp) driven through the same transport — quorum
@@ -47,20 +52,20 @@
 // n % S and every mutation of its state — message deliveries, local
 // applies, coordination engine updates — happens on that shard's
 // thread.  The cluster keeps one ShardState (coordination engine, send
-// slots, drop counters, completed-sync records) per shard; nothing in
-// a ShardState is ever touched by two threads at once because every
-// envelope routes to shard_of(envelope.to) and client operations enter
-// a replica's serial domain through run_at().  Control-plane calls
-// (partition/heal, anti-entropy, crash/recover, stats readers, the
-// legacy sync shims) remain single-threaded-only: they are legal at
-// quiescence (transport idle), where the transport's acquire/release
-// in-flight accounting makes every shard's writes visible.  With any
-// other transport there is exactly one shard and the behavior — and
-// the bytes — are identical to the pre-sharding cluster.
+// slots, drop counters) per shard; nothing in a ShardState is ever
+// touched by two threads at once because every envelope routes to
+// shard_of(envelope.to) and client operations enter a replica's serial
+// domain through run_at().  Control-plane calls (partition/heal,
+// anti-entropy sessions, crash/recover, stats readers, the synchronous
+// request shims) run on the calling thread and remain
+// single-threaded-only: they are legal at quiescence (transport idle),
+// where the transport's acquire/release in-flight accounting makes
+// every shard's writes visible.  With any other transport there is
+// exactly one shard and the behavior — and the bytes — are identical
+// to the pre-sharding cluster.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <latch>
@@ -202,8 +207,9 @@ class Cluster {
   }
 
   /// Cuts the replica set into isolated groups (net::Transport::
-  /// partition); replication, handoff and sync messages crossing the
-  /// cut are lost.  heal() restores every link.
+  /// partition); replication, handoff and coordination messages
+  /// crossing the cut are lost, and no anti-entropy session crosses it.
+  /// heal() restores every link.
   void partition(const std::vector<std::vector<ReplicaId>>& groups,
                  std::string label = {}) {
     transport_->partition(groups, std::move(label));
@@ -224,7 +230,6 @@ class Cluster {
       drops_scratch_.hint_stash += d.hint_stash;
       drops_scratch_.hint_deliver += d.hint_deliver;
       drops_scratch_.hint_ack += d.hint_ack;
-      drops_scratch_.sync += d.sync;
       drops_scratch_.coord += d.coord;
     }
     return drops_scratch_;
@@ -411,9 +416,6 @@ class Cluster {
     const Stored* fresh = replicas_.at(coordinator).find(key);
     DVV_ASSERT(fresh != nullptr);
     const std::string encoded = Replica<M>::encode_state(*fresh);
-    // Non-owning alias, as in begin_write(): synchronous delivery only.
-    const std::shared_ptr<const void> decoded(std::shared_ptr<const void>{},
-                                              fresh);
     const Ring& route = routing_ring(key);
     const auto order = route.ring_order(key);
     std::size_t next_fallback = route.replication();  // first non-pref slot
@@ -442,8 +444,8 @@ class Cluster {
           net::wire_size_of(std::get<net::HintMsg>(msg));
       receipt.replication_bytes += msg_bytes;
       ++receipt.hinted;
-      transport_->send(coordinator, order[next_fallback],
-                       net::borrow_message(msg), decoded, msg_bytes);
+      transport_->send(coordinator, order[next_fallback], msg, fresh,
+                       msg_bytes);
       ++next_fallback;
     }
     return harvest_write(eng, id);
@@ -502,8 +504,7 @@ class Cluster {
             });
         req_bytes = net::wire_size_of(std::get<net::CoordReadReqMsg>(*req_msg));
       }
-      transport_->send(coordinator, r, net::borrow_message(*req_msg), nullptr,
-                       req_bytes);
+      transport_->send(coordinator, r, *req_msg, nullptr, req_bytes);
     }
     return id;
   }
@@ -535,12 +536,11 @@ class Cluster {
     const Stored* fresh = coord.find(key);
     DVV_ASSERT(fresh != nullptr);
     // One message shared by the whole fan-out (the payload is identical
-    // per target).  The decoded fast path aliases the coordinator's
-    // live state WITHOUT owning it: valid for synchronous delivery
-    // only, which is exactly the envelope contract — a queuing
-    // transport serializes at send and drops the alias.
+    // per target).  The decoded fast path points at the coordinator's
+    // live state: valid for synchronous delivery only, which is exactly
+    // the envelope contract — a queuing transport serializes at send
+    // and drops the pointer.
     const net::Message* msg = nullptr;
-    std::shared_ptr<const void> decoded(std::shared_ptr<const void>{}, fresh);
     std::size_t msg_bytes = 0;
     for (const ReplicaId r : replicate_to) {
       if (r == coordinator || !replicas_.at(r).alive()) continue;
@@ -560,8 +560,7 @@ class Cluster {
       PutReceipt& receipt = eng.write_receipt(id);
       receipt.replication_bytes += msg_bytes;
       ++receipt.replicated_to;
-      transport_->send(coordinator, r, net::borrow_message(*msg), decoded,
-                       msg_bytes);
+      transport_->send(coordinator, r, *msg, fresh, msg_bytes);
     }
     (void)eng.seal_write_quorum(id);
     return id;
@@ -715,7 +714,9 @@ class Cluster {
       ReplicaId owner;  ///< the parked tag — the ack retires the hint by it
       Key key;
       std::string state;
-      std::shared_ptr<const Stored> decoded;
+      /// The parked state itself: hints live in a std::map, so an ack
+      /// retiring one hint leaves every other pending entry in place.
+      const Stored* decoded;
     };
     std::vector<Pending> pending;
     for (auto& rep : replicas_) {
@@ -742,8 +743,7 @@ class Cluster {
           return;  // waits for the owner
         }
         pending.push_back({rep.id(), dest, owner, key,
-                           Replica<M>::encode_state(state),
-                           std::make_shared<const Stored>(state)});
+                           Replica<M>::encode_state(state), &state});
       });
     }
     for (Pending& p : pending) {
@@ -753,8 +753,7 @@ class Cluster {
             out.key = std::move(p.key);
             out.state = std::move(p.state);
           });
-      transport_->send(p.holder, p.dest, net::borrow_message(msg),
-                       std::move(p.decoded),
+      transport_->send(p.holder, p.dest, msg, p.decoded,
                        net::wire_size_of(std::get<net::HintDeliverMsg>(msg)));
     }
     transport_->settle();
@@ -768,156 +767,44 @@ class Cluster {
     return n;
   }
 
-  /// One anti-entropy round: for every key anywhere in the cluster —
-  /// including keys that exist only as parked hints — the replicas in
-  /// its preference list gather-merge-scatter so they end up identical.
-  /// Parked hints on ALIVE holders are folded into the merge as extra
-  /// gather sources (a hint for a long-dead owner must not hide its
-  /// write from the cluster) and are then rewritten to the merged bytes
-  /// so later rounds recognize them as reconciled by digest; the hints
-  /// stay parked until their owner returns.  Keys whose alive
-  /// preference-list states already encode identically are skipped
-  /// (digest pre-check), so `touched` counts genuinely divergent
-  /// (key, replica) states — a divergence metric — and converged state
-  /// is never rewritten.
-  std::size_t anti_entropy() {
-    std::set<Key> all_keys;
-    for (const auto& rep : replicas_) {
-      for (auto& k : rep.keys()) all_keys.insert(k);
-    }
-    const HintIndex hints = collect_hints();
-    for (const auto& [key, sources] : hints) all_keys.insert(key);
-
-    std::size_t touched = 0;
-    for (const Key& key : all_keys) {
-      const auto pref = preference_list(key);
-      // Digest pre-check: all alive preference replicas hold the same
-      // bytes (kMissing marking absence) and no alive holder parks a
-      // differing hint -> nothing to repair.
-      std::vector<std::pair<ReplicaId, sync::Digest>> owner_digests;
-      bool divergent = false;
-      for (ReplicaId r : pref) {
-        if (!replicas_[r].alive()) continue;
-        const Stored* s = replicas_[r].find(key);
-        const sync::Digest d = s ? sync::state_digest(*s) : sync::kMissing;
-        if (!owner_digests.empty() && d != owner_digests.front().second) {
-          divergent = true;
-        }
-        owner_digests.emplace_back(r, d);
-      }
-      if (owner_digests.empty()) continue;  // whole preference list down
-
-      const auto hint_it = hints.find(key);
-      const bool has_hints = hint_it != hints.end();
-      if (has_hints && !divergent) {
-        for (const HintSource& h : hint_it->second) {
-          if (sync::state_digest(*h.state) != owner_digests.front().second) {
-            divergent = true;
-            break;
-          }
-        }
-      }
-      if (!divergent) continue;
-
-      // Canonical fold: alive owners in preference order, then hints in
-      // (holder, owner) order — the digest pass repairs with the same
-      // fold, which is what keeps the two fixed points byte-identical.
-      Stored merged;
-      for (const auto& [r, d] : owner_digests) {
-        if (const Stored* s = replicas_[r].find(key)) mechanism_.sync(merged, *s);
-      }
-      if (has_hints) {
-        for (const HintSource& h : hint_it->second) mechanism_.sync(merged, *h.state);
-      }
-      // Scatter only to replicas not already holding the merged bytes,
-      // so converged copies are never rewritten and `touched` counts
-      // exactly the repaired (key, replica) states.
-      const sync::Digest merged_digest = sync::state_digest(merged);
-      for (const auto& [r, d] : owner_digests) {
-        if (d == merged_digest) continue;
-        replicas_[r].adopt(key, merged);
-        ++touched;
-      }
-      if (has_hints) {
-        for (const HintSource& h : hint_it->second) {
-          replicas_[h.holder].replace_hint(h.owner, key, merged);
-        }
-      }
-    }
-    return touched;
-  }
-
   // ---- digest-based anti-entropy (src/sync) ------------------------------
   //
-  // The production-shaped repair path: instead of shipping every key's
-  // state, replicas exchange Merkle tree hashes, descend into differing
+  // Replicas exchange Merkle tree hashes, descend into differing
   // subtrees, and ship Stored state only for keys whose digests differ.
-  // The repair fold is canonical (preference-list order, then hints), so
-  // the fixed point is byte-identical to the legacy full pass — see
-  // tests/anti_entropy_convergence_test.cpp.
+  // The repair fold is canonical (preference-list order, then hints),
+  // so the fixed point is the one a god's-eye gather-merge-scatter over
+  // every key reaches — tests/anti_entropy_convergence_test.cpp keeps
+  // that full pass as its oracle.  Sessions are control-plane, like
+  // rebalance walks: they run in place at quiescence, meter the rounds
+  // and bytes of the exchange in their stats, and send nothing, so
+  // repair never shifts a transport's fault stream.
 
   // Lifted to kv/results.hpp for the mechanism-agnostic facade.
   using DigestRepairReport = ::dvv::kv::DigestRepairReport;
 
-  /// One pairwise digest session between alive replicas `a` and `b`,
-  /// initiated by a SyncReqMsg from `a` routed through the transport —
-  /// a request lost to a partition or a drop means no session ran and
-  /// empty stats come back.  This call drains the transport (a session
-  /// is a blocking exchange, like a TCP conversation): on delivery the
-  /// responder refreshes both trees, walks them, repairs divergent keys
-  /// across their whole alive preference list, and answers with a
-  /// SyncRespMsg whose stats this call harvests.  Dead endpoints make
-  /// it a no-op.  Parked hints are handled by the full
+  /// One pairwise digest session between replicas `a` and `b`, run in
+  /// place: both trees refresh, shared partitions are walked, and
+  /// divergent keys are repaired across their whole reachable alive
+  /// preference list.  A dead endpoint or a cut link means no session
+  /// and empty stats.  Parked hints are handled by the full
   /// anti_entropy_digest() sweep — they live outside the Merkle trees.
-  /// For a fire-and-forget request on a queued transport (the simulator
-  /// wants sessions racing foreground traffic), use request_sync() and
-  /// collect take_completed_syncs() after pumping.
   sync::SyncStats anti_entropy_digest_pair(ReplicaId a, ReplicaId b) {
-    if (!replicas_.at(a).alive() || !replicas_.at(b).alive() || a == b) return {};
-    const std::uint64_t nonce = request_sync(a, b);
-    transport_->drain();
-    sync::SyncStats out;
-    // A duplicated request runs the session twice and answers twice;
-    // both runs' costs are real, so matching records merge.  The drain
-    // above is the quiescent point that makes the per-shard record
-    // lists safe to touch from here.
-    for (auto& shard : shards_) {
-      std::erase_if(shard->completed_syncs, [&](const CompletedSync& cs) {
-        if (cs.nonce != nonce) return false;
-        out.merge(cs.stats);
-        return true;
-      });
+    if (a == b || !replicas_.at(a).alive() || !replicas_.at(b).alive() ||
+        !transport_->link_up(a, b)) {
+      return {};
     }
-    return out;
-  }
-
-  /// Enqueues a SyncReqMsg from `a` to `b` and returns its nonce; the
-  /// session runs when the request is delivered (pump on a queued
-  /// transport), and its stats appear in take_completed_syncs() once
-  /// the SyncRespMsg makes it back to the initiator.
-  std::uint64_t request_sync(ReplicaId a, ReplicaId b) {
-    const std::uint64_t nonce =
-        next_sync_nonce_.fetch_add(1, std::memory_order_relaxed);
-    send_message(a, b, net::SyncReqMsg{nonce});
-    return nonce;
-  }
-
-  /// One finished digest session as observed by its initiator (lifted
-  /// to kv/results.hpp for the mechanism-agnostic facade).
-  using CompletedSync = ::dvv::kv::CompletedSync;
-
-  /// Drains the completed-session records (sessions whose SyncRespMsg
-  /// reached the initiator since the last call), in shard order.  Exact
-  /// at quiescence.
-  [[nodiscard]] std::vector<CompletedSync> take_completed_syncs() {
-    std::vector<CompletedSync> out;
-    for (auto& shard : shards_) {
-      for (CompletedSync& cs : shard->completed_syncs) {
-        out.push_back(std::move(cs));
-      }
-      shard->completed_syncs.clear();
+    refresh_tree(a);
+    refresh_tree(b);
+    sync::SyncSession session(
+        [this](const Key& key, ReplicaId sa, ReplicaId sb) {
+          return repair_key(key, sa, sb);
+        });
+    sync::SyncStats stats;
+    for (const auto partition : digest_index_.shared_partitions(a, b)) {
+      stats.merge(session.run(a, digest_index_.tree(a, partition), b,
+                              digest_index_.tree(b, partition)));
     }
-    return out;
+    return stats;
   }
 
   /// Full digest-based repair: sweeps every alive replica pair until a
@@ -925,8 +812,7 @@ class Cluster {
   /// exist only under parked hints (or whose hints differ from the
   /// owners' agreed state) are invisible to the Merkle walk, so the
   /// alive holders' hints are probed by digest and folded in explicitly.
-  /// Converges to the legacy pass's fixed point while shipping state
-  /// only for divergent keys.
+  /// Ships state only for divergent keys and sends no message.
   DigestRepairReport anti_entropy_digest() {
     // A rebalance in progress advances first: transfer walks are what
     // makes routing flips safe, and a sweep after a heal/recover is
@@ -939,12 +825,6 @@ class Cluster {
     while (progress) {
       progress = false;
       ++report.sweeps;
-      // Progress detection must not depend on SyncRespMsg survival: a
-      // faulty transport can deliver the request (repairs run) and lose
-      // the response (stats gone).  The repair counter sees every
-      // shipped state regardless of what made it back to an initiator.
-      const std::uint64_t repairs_mark =
-          repairs_shipped_total_.load(std::memory_order_relaxed);
       for (ReplicaId a = 0; a < replicas_.size(); ++a) {
         for (ReplicaId b = a + 1; b < replicas_.size(); ++b) {
           const sync::SyncStats stats = anti_entropy_digest_pair(a, b);
@@ -952,10 +832,6 @@ class Cluster {
           if (stats.keys_shipped > 0) progress = true;
           report.stats.merge(stats);
         }
-      }
-      if (repairs_shipped_total_.load(std::memory_order_relaxed) !=
-          repairs_mark) {
-        progress = true;
       }
       // Hint round: repair every key some alive holder parks a hint
       // for.  The converged pre-check matters beyond wire cost: a key
@@ -1370,22 +1246,17 @@ class Cluster {
     });
   }
 
-  void send_message(ReplicaId from, ReplicaId to, net::Message msg) {
-    transport_->send(from, to, std::move(msg));
-  }
-
   // ---- shard routing ------------------------------------------------------
 
   /// Reusable send slots, one per message purpose, per shard.  Sends
-  /// ride net::borrow_message handles over these — no allocation and no
-  /// shared_ptr control-block traffic per message.  The borrow contract
-  /// holds because (a) the kv delivery sink never retains an envelope
-  /// beyond the sink call, and (b) no delivery chain ever refills the
-  /// slot of a message still on the stack: a write_req delivery fills
-  /// only write_resp; a read_req delivery only read_resp; a read_resp
-  /// delivery at most replicate (read repair); a hint_deliver delivery
-  /// only hint_ack; replicate / hint / hint_ack / write_resp deliveries
-  /// send nothing.  Across threads: a slot is filled either by its
+  /// lend these to Transport::send by reference — no allocation per
+  /// message.  Lending is safe because (a) the kv delivery sink never
+  /// retains an envelope beyond the sink call, and (b) no delivery
+  /// chain ever refills the slot of a message still on the stack: a
+  /// write_req delivery fills only write_resp; a read_req delivery only
+  /// read_resp; a read_resp delivery at most replicate (read repair); a
+  /// hint_deliver delivery only hint_ack; replicate / hint / hint_ack /
+  /// write_resp deliveries send nothing.  Across threads: a slot is filled either by its
   /// shard's own thread (delivery handlers, shard-local client ops) or
   /// by the control plane at quiescence — and the two never fill the
   /// same member concurrently, because delivery chains only fill
@@ -1408,7 +1279,6 @@ class Cluster {
   struct alignas(64) ShardState {
     QuorumCoordinator<M> engine;  ///< requests coordinated by owned replicas
     DeliveryDrops drops;
-    std::vector<CompletedSync> completed_syncs;
     SendSlots slots;
   };
 
@@ -1504,8 +1374,7 @@ class Cluster {
             });
         msg_bytes = net::wire_size_of(std::get<net::ReplicateMsg>(*msg));
       }
-      transport_->send(receipt.coordinator, r, net::borrow_message(*msg),
-                       nullptr, msg_bytes);
+      transport_->send(receipt.coordinator, r, *msg, nullptr, msg_bytes);
     }
   }
 
@@ -1515,7 +1384,7 @@ class Cluster {
     // replica's shard state — with a threaded transport this sink runs
     // on that shard's thread, so nothing here needs a lock.
     ShardState& shard = shard_for(envelope.to);
-    const Stored* fast = static_cast<const Stored*>(envelope.decoded.get());
+    const Stored* fast = static_cast<const Stored*>(envelope.decoded);
     std::visit(
         [&](const auto& m) {
           apply_one(shard, envelope.from, envelope.to, m, fast);
@@ -1544,12 +1413,10 @@ class Cluster {
         ++shard.drops.hint_deliver;
       } else if constexpr (std::is_same_v<T, net::HintAckView>) {
         ++shard.drops.hint_ack;
-      } else if constexpr (std::is_same_v<T, net::CoordReadReqView> ||
-                           std::is_same_v<T, net::CoordReadRespView> ||
-                           std::is_same_v<T, net::CoordWriteRespView>) {
-        ++shard.drops.coord;  // the request machine rides it out
       } else {
-        ++shard.drops.sync;
+        // Read requests/replies and write acks: the request machine
+        // rides the loss out.
+        ++shard.drops.coord;
       }
       return;
     }
@@ -1581,14 +1448,14 @@ class Cluster {
             out.key = m.key;
             out.digest = digest;
           });
-      transport_->send(to, from, net::borrow_message(ack), nullptr,
+      transport_->send(to, from, ack, nullptr,
                        net::wire_size_of(std::get<net::HintAckMsg>(ack)));
     } else if constexpr (std::is_same_v<T, net::HintAckView>) {
       (void)dst.drop_hint_if(m.owner, Key(m.key), m.digest);
     } else if constexpr (std::is_same_v<T, net::CoordReadReqView>) {
       // Serve the quorum read: answer with the local encoding of the
       // key (found=false when this replica holds nothing).  The decoded
-      // alias rides along for zero-copy loopback — valid only for
+      // state rides along for zero-copy loopback — valid only for
       // synchronous delivery, exactly the envelope contract.
       const Stored* local = dst.find(m.key);
       const net::Message& resp = net::fill_message<net::CoordReadRespMsg>(
@@ -1601,10 +1468,8 @@ class Cluster {
               out.state.clear();
             }
           });
-      transport_->send(
-          to, from, net::borrow_message(resp),
-          std::shared_ptr<const void>(std::shared_ptr<const void>{}, local),
-          net::wire_size_of(std::get<net::CoordReadRespMsg>(resp)));
+      transport_->send(to, from, resp, local,
+                       net::wire_size_of(std::get<net::CoordReadRespMsg>(resp)));
     } else if constexpr (std::is_same_v<T, net::CoordReadRespView>) {
       // A quorum-read reply lands at its coordinator: the engine counts
       // it toward the quorum (or drops it as late, duplicate or stale —
@@ -1630,60 +1495,12 @@ class Cluster {
       }
       const net::Message& ack = net::fill_message<net::CoordWriteRespMsg>(
           shard.slots.write_resp, [&](auto& out) { out.req = m.req; });
-      transport_->send(
-          to, from, net::borrow_message(ack), nullptr,
-          net::wire_size_of(std::get<net::CoordWriteRespMsg>(ack)));
-    } else if constexpr (std::is_same_v<T, net::CoordWriteRespView>) {
-      (void)shard.engine.on_write_ack(m.req, from);
-    } else if constexpr (std::is_same_v<T, net::SyncReqView>) {
-      run_sync_session(from, to, m.nonce);
+      transport_->send(to, from, ack, nullptr,
+                       net::wire_size_of(std::get<net::CoordWriteRespMsg>(ack)));
     } else {
-      static_assert(std::is_same_v<T, net::SyncRespView>);
-      CompletedSync cs;
-      cs.initiator = to;
-      cs.responder = from;
-      cs.nonce = m.nonce;
-      cs.stats.rounds = static_cast<std::size_t>(m.rounds);
-      cs.stats.nodes_exchanged = static_cast<std::size_t>(m.nodes_exchanged);
-      cs.stats.keys_compared = static_cast<std::size_t>(m.keys_compared);
-      cs.stats.keys_shipped = static_cast<std::size_t>(m.keys_shipped);
-      cs.stats.wire_bytes = static_cast<std::size_t>(m.wire_bytes);
-      shard.completed_syncs.push_back(std::move(cs));
+      static_assert(std::is_same_v<T, net::CoordWriteRespView>);
+      (void)shard.engine.on_write_ack(m.req, from);
     }
-  }
-
-  /// Runs one digest session at the responder after a SyncReqMsg
-  /// arrived (refreshing both trees, walking shared partitions,
-  /// repairing divergent keys) and answers the initiator with the
-  /// stats.  The walk itself is computed in shared memory — its message
-  /// rounds and wire bytes are metered in the stats, as before the
-  /// transport existed — but whether a session happens AT ALL is the
-  /// transport's call: a partitioned or dropped request means no
-  /// repair.  An initiator that died after sending gets no session (a
-  /// one-ended exchange cannot run).
-  void run_sync_session(ReplicaId initiator, ReplicaId responder,
-                        std::uint64_t nonce) {
-    if (initiator == responder || !replicas_.at(initiator).alive()) return;
-    refresh_tree(initiator);
-    refresh_tree(responder);
-    sync::SyncSession session(
-        [this](const Key& key, ReplicaId sa, ReplicaId sb) {
-          return repair_key(key, sa, sb);
-        });
-    sync::SyncStats stats;
-    for (const auto partition : digest_index_.shared_partitions(initiator,
-                                                                responder)) {
-      stats.merge(session.run(initiator, digest_index_.tree(initiator, partition),
-                              responder, digest_index_.tree(responder, partition)));
-    }
-    net::SyncRespMsg resp;
-    resp.nonce = nonce;
-    resp.rounds = stats.rounds;
-    resp.nodes_exchanged = stats.nodes_exchanged;
-    resp.keys_compared = stats.keys_compared;
-    resp.keys_shipped = stats.keys_shipped;
-    resp.wire_bytes = stats.wire_bytes;
-    send_message(responder, initiator, resp);
   }
 
   void refresh_tree(ReplicaId r) {
@@ -1696,19 +1513,20 @@ class Cluster {
   /// `a` after disagreeing with `b` (or `a == b` for the hint round):
   /// gather every alive owner's state plus every alive holder's parked
   /// hint, fold in canonical order (owners by preference list, then
-  /// hints by (holder, owner) — the same deterministic merge the legacy
-  /// pass computes), scatter the merge back, and rewrite differing
-  /// hints to the merged bytes.  The initiator can only gather from and
-  /// scatter to replicas it can REACH: under an active partition,
-  /// owners and hint holders across the cut are invisible to the repair
-  /// (tests/transport_test.cpp: RepairCannotCrossAnActivePartition) —
-  /// each side converges internally and the sides reconcile after
-  /// heal().  Wire metering uses the per-key digests
-  /// the owners already maintain: identical gather states ship once
-  /// (the initiator recognizes duplicates by digest), the initiator's
-  /// own copy stays local, and owners whose bytes already equal the
-  /// merge receive nothing.  Keys the session pair does not own are
-  /// left alone: a replica must never adopt keys outside its partition.
+  /// hints by (holder, owner) — the same deterministic merge a full
+  /// gather-merge-scatter pass computes), scatter the merge back, and
+  /// rewrite differing hints to the merged bytes.  The initiator can
+  /// only gather from and scatter to replicas it can REACH: under an
+  /// active partition, owners and hint holders across the cut are
+  /// invisible to the repair (tests/transport_test.cpp:
+  /// RepairCannotCrossAnActivePartition) — each side converges
+  /// internally and the sides reconcile after heal().  Wire metering
+  /// uses the per-key digests the owners already maintain: identical
+  /// gather states ship once (the initiator recognizes duplicates by
+  /// digest), the initiator's own copy stays local, and owners whose
+  /// bytes already equal the merge receive nothing.  Keys the session
+  /// pair does not own are left alone: a replica must never adopt keys
+  /// outside its partition.
   sync::RepairResult repair_key(const Key& key, ReplicaId a, ReplicaId b) {
     const auto pref = preference_list(key);
     const bool a_owns = std::find(pref.begin(), pref.end(), a) != pref.end();
@@ -1798,8 +1616,6 @@ class Cluster {
         ++result.states_shipped;
       }
     }
-    repairs_shipped_total_.fetch_add(result.states_shipped,
-                                     std::memory_order_relaxed);
     return result;
   }
 
@@ -1830,11 +1646,6 @@ class Cluster {
   /// Set at construction when the transport is threaded — the routing
   /// helpers key off it; null means single-domain (inline / sim).
   net::ThreadedTransport* threaded_ = nullptr;
-  /// Atomic: request_sync may be scattered from several shard threads
-  /// by a threaded driver (nonces only need uniqueness, not order).
-  std::atomic<std::uint64_t> next_sync_nonce_{0};
-  /// Atomic for the same reason; every state repair_key shipped.
-  std::atomic<std::uint64_t> repairs_shipped_total_{0};
   /// Aggregation scratch for the merged accessors (mutable: the
   /// accessors are logically const).  Only valid to fill at quiescence.
   mutable DeliveryDrops drops_scratch_{};

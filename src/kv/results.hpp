@@ -11,9 +11,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
-#include "kv/types.hpp"
 #include "sync/anti_entropy.hpp"
 
 namespace dvv::kv {
@@ -27,24 +25,14 @@ struct DeliveryDrops {
   std::size_t hint_stash = 0;    ///< hints headed for a dead fallback
   std::size_t hint_deliver = 0;  ///< deliveries to an owner that died again
   std::size_t hint_ack = 0;      ///< acks to a holder that died
-  std::size_t sync = 0;          ///< anti-entropy session requests
   std::size_t coord = 0;         ///< coordination control traffic (read
                                  ///  requests/replies, write acks) to a
                                  ///  dead endpoint — the request machine
                                  ///  absorbs these as missing replies
 
   [[nodiscard]] std::size_t total() const noexcept {
-    return replicate + hint_stash + hint_deliver + hint_ack + sync + coord;
+    return replicate + hint_stash + hint_deliver + hint_ack + coord;
   }
-};
-
-/// One finished digest anti-entropy session as observed by its
-/// initiator (Cluster::take_completed_syncs).
-struct CompletedSync {
-  ReplicaId initiator = 0;
-  ReplicaId responder = 0;
-  std::uint64_t nonce = 0;
-  sync::SyncStats stats;
 };
 
 /// Full digest-based repair report (Cluster::anti_entropy_digest).

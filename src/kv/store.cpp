@@ -296,19 +296,12 @@ class TypedStore final : public Store {
   [[nodiscard]] std::size_t hinted_count() const override {
     return cluster_.hinted_count();
   }
-  std::size_t anti_entropy() override {
-    obs::store_metrics().anti_entropy_runs.inc();
-    return cluster_.anti_entropy();
-  }
   DigestRepairReport anti_entropy_digest() override {
     obs::store_metrics().anti_entropy_runs.inc();
     return cluster_.anti_entropy_digest();
   }
-  std::uint64_t request_sync(ReplicaId a, ReplicaId b) override {
-    return cluster_.request_sync(a, b);
-  }
-  [[nodiscard]] std::vector<CompletedSync> take_completed_syncs() override {
-    return cluster_.take_completed_syncs();
+  sync::SyncStats anti_entropy_digest_pair(ReplicaId a, ReplicaId b) override {
+    return cluster_.anti_entropy_digest_pair(a, b);
   }
 
   // ---- elastic membership -------------------------------------------------

@@ -20,8 +20,8 @@
 //     StoreStatus::kBadToken without touching any replica state —
 //     never an assert, never a silent blind write;
 //   * what its callers use of Cluster<M> — quorum options, receipts,
-//     the asynchronous request engine, hinted handoff, both
-//     anti-entropy passes, transport faults, crash/recovery — is
+//     the asynchronous request engine, hinted handoff, digest
+//     anti-entropy, transport faults, crash/recovery — is
 //     re-exposed through mechanism-independent types (kv/results.hpp,
 //     kv/coordinator.hpp).
 //
@@ -269,10 +269,12 @@ class Store {
 
   virtual std::size_t deliver_hints() = 0;
   [[nodiscard]] virtual std::size_t hinted_count() const = 0;
-  virtual std::size_t anti_entropy() = 0;
+  /// Full digest repair to a fixed point (Cluster::anti_entropy_digest).
   virtual DigestRepairReport anti_entropy_digest() = 0;
-  virtual std::uint64_t request_sync(ReplicaId a, ReplicaId b) = 0;
-  [[nodiscard]] virtual std::vector<CompletedSync> take_completed_syncs() = 0;
+  /// One pairwise digest session, run in place; empty stats when either
+  /// replica is dead or their link is cut.
+  virtual sync::SyncStats anti_entropy_digest_pair(ReplicaId a,
+                                                   ReplicaId b) = 0;
 
   // ---- elastic membership (src/membership) -------------------------------
   //

@@ -3,9 +3,10 @@
 // Typed wire messages for the replication data plane.
 //
 // Everything that crosses between replicas — put fan-out, hinted
-// handoff, hint delivery and its ack, anti-entropy session initiation,
-// quorum coordination — is one of these frames, serialized
-// through the same codec the clock encodings use (codec/wire.hpp).  The
+// handoff, hint delivery and its ack, quorum coordination — is one of
+// these frames, serialized through the same codec the clock encodings
+// use (codec/wire.hpp).  Anti-entropy sessions are not messages: they
+// run in place and meter their cost (kv/cluster.hpp).  The
 // transport layer (net/transport.hpp) carries only the encoded bytes,
 // so wire-byte metering is the size of real encodings, not a modelled
 // estimate, and a fault injector can drop/duplicate/reorder messages
@@ -31,10 +32,12 @@
 // decoder, wire_size_of, materialize and as_view are walks over the
 // field list, so a layout cannot drift between them.
 //
-// The hot message path recycles through the net pools (see README
-// "Message path"): Message objects, encode buffers and a freelist arena
-// for shared_ptr control blocks, so the steady state allocates nothing
-// per op.  Pool MISSES are observable as the net.alloc.* counters.
+// Senders fill a Message they keep (fill_message) and lend it to
+// Transport::send, which consumes it before returning.  The byte-
+// faithful transports recycle encode buffers and a freelist arena for
+// shared_ptr control blocks and queue nodes through the net pools (see
+// README "Message path"), so the steady state allocates nothing per
+// op.  Pool MISSES are observable as the net.alloc.* counters.
 #pragma once
 
 #include <array>
@@ -101,31 +104,6 @@ struct HintAck {
   static auto fields(auto& m) { return std::tie(m.owner, m.key, m.digest); }
 };
 
-/// Asks the destination to run one digest-based anti-entropy session
-/// with the sender (sync/anti_entropy.hpp).  `nonce` pairs the eventual
-/// SyncRespMsg with the request at the initiator.
-template <typename Bytes>
-struct SyncReq {
-  std::uint64_t nonce = 0;
-  static auto fields(auto& m) { return std::tie(m.nonce); }
-};
-
-/// Reports a completed session's stats back to the initiator (the
-/// fields of sync::SyncStats, flattened for the wire).
-template <typename Bytes>
-struct SyncResp {
-  std::uint64_t nonce = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t nodes_exchanged = 0;
-  std::uint64_t keys_compared = 0;
-  std::uint64_t keys_shipped = 0;
-  std::uint64_t wire_bytes = 0;
-  static auto fields(auto& m) {
-    return std::tie(m.nonce, m.rounds, m.nodes_exchanged, m.keys_compared,
-                    m.keys_shipped, m.wire_bytes);
-  }
-};
-
 // ---- quorum coordination (kv/coordinator.hpp) ------------------------------
 //
 // The client read/write path as request state machines: a coordinator
@@ -177,8 +155,7 @@ struct CoordWriteResp {
 template <typename Bytes>
 using MessageOf =
     std::variant<Replicate<Bytes>, Hint<Bytes>, HintDeliver<Bytes>,
-                 HintAck<Bytes>, SyncReq<Bytes>, SyncResp<Bytes>,
-                 CoordReadReq<Bytes>, CoordReadResp<Bytes>,
+                 HintAck<Bytes>, CoordReadReq<Bytes>, CoordReadResp<Bytes>,
                  CoordWriteReq<Bytes>, CoordWriteResp<Bytes>>;
 
 using Message = MessageOf<std::string>;
@@ -192,10 +169,6 @@ using HintDeliverMsg = HintDeliver<std::string>;
 using HintDeliverView = HintDeliver<std::string_view>;
 using HintAckMsg = HintAck<std::string>;
 using HintAckView = HintAck<std::string_view>;
-using SyncReqMsg = SyncReq<std::string>;
-using SyncReqView = SyncReq<std::string_view>;
-using SyncRespMsg = SyncResp<std::string>;
-using SyncRespView = SyncResp<std::string_view>;
 using CoordReadReqMsg = CoordReadReq<std::string>;
 using CoordReadReqView = CoordReadReq<std::string_view>;
 using CoordReadRespMsg = CoordReadResp<std::string>;
@@ -426,9 +399,9 @@ template <typename To, typename From>
 
 /// Exact codec size of frame `m` (either form), computed without
 /// building the bytes.  Fan-out senders that just filled a typed slot
-/// use this to compute the size_hint they pass along with the borrowed
-/// message, so the transport never re-walks the variant (SimTransport
-/// asserts the hint against the real encoding).
+/// use this to compute the size_hint they pass along with the message,
+/// so the transport never re-walks the variant (SimTransport asserts
+/// the hint against the real encoding).
 template <Frame T>
 [[nodiscard]] std::size_t wire_size_of(const T& m) {
   detail::SizeCounter counter;
@@ -515,27 +488,22 @@ inline void note_decode_reject(std::size_t tag) {
   return std::nullopt;
 }
 
-// ---- pooled messages and encode buffers ------------------------------------
+// ---- message slots and pooled encode buffers -------------------------------
 //
-// The net pools: recycled Message instances (alternative-affine —
-// LIFO reuse hands homogeneous traffic an object that already holds
-// the right alternative, so field assignment reuses string capacity),
-// recycled encode buffers, and a freelist arena for the shared_ptr
-// control blocks and SimTransport queue nodes the standard library
-// would otherwise heap-allocate per message.  Everything is
+// The net pools: recycled encode buffers and a freelist arena for the
+// shared_ptr control blocks and SimTransport queue nodes the standard
+// library would otherwise heap-allocate per message.  Everything is
 // thread_local and leaked on purpose: a shared_ptr released during
 // static destruction must find its pool alive.
 //
-// Pool misses surface as net.alloc.{messages,encode_buffers,envelopes}.
+// Pool misses surface as net.alloc.{encode_buffers,envelopes}.
 
 struct NetPools {
   util::FreelistArena arena;
-  util::RecyclePool<Message> messages;
   util::RecyclePool<std::string> buffers;
 
   NetPools() {
     arena.set_miss_hook([] { obs::net_metrics().alloc_envelopes.inc(); });
-    messages.set_miss_hook([] { obs::net_metrics().alloc_messages.inc(); });
     buffers.set_miss_hook([] { obs::net_metrics().alloc_encode_buffers.inc(); });
   }
 };
@@ -546,67 +514,21 @@ struct NetPools {
   return *pools;
 }
 
-/// shared_ptr deleter that parks the Message back in its pool,
-/// un-destructed, so its strings keep their capacity for the next use.
-struct MessageRecycler {
-  void operator()(const Message* p) const noexcept {
-    net_pools().messages.release(const_cast<Message*>(p));
-  }
-};
-
 struct BufferRecycler {
   void operator()(const std::string* p) const noexcept {
     net_pools().buffers.release(const_cast<std::string*>(p));
   }
 };
 
-/// A recycled Message holding alternative T: `fill` assigns its fields
-/// in place (string assignment onto a recycled same-alternative object
-/// reuses capacity), and the returned handle's control block comes from
-/// the arena — zero per-op allocations once the pools are warm.
-template <typename T, typename Fill>
-[[nodiscard]] std::shared_ptr<const Message> pooled_message(Fill&& fill) {
-  NetPools& pools = net_pools();
-  Message* slot = pools.messages.acquire();
-  if (!std::holds_alternative<T>(*slot)) slot->emplace<T>();
-  fill(std::get<T>(*slot));
-  return std::shared_ptr<const Message>(slot, MessageRecycler{},
-                                        util::ArenaAllocator<Message>(&pools.arena));
-}
-
-/// Wraps an already-built message in a recycled slot (the by-value
-/// Transport::send convenience path).
-[[nodiscard]] inline std::shared_ptr<const Message> pooled_message(Message&& msg) {
-  NetPools& pools = net_pools();
-  Message* slot = pools.messages.acquire();
-  *slot = std::move(msg);
-  return std::shared_ptr<const Message>(slot, MessageRecycler{},
-                                        util::ArenaAllocator<Message>(&pools.arena));
-}
-
-/// Fills a caller-kept Message slot with alternative T in place.
-/// Alternative-affine like the pooled path: a same-alternative refill
-/// assigns fields onto the previous occupant, so string capacity is
-/// reused.  Pairs with borrow_message for the zero-overhead send idiom.
+/// Fills a caller-kept Message slot with alternative T in place and
+/// returns it for Transport::send.  Alternative-affine: a
+/// same-alternative refill assigns fields onto the previous occupant,
+/// so string capacity is reused and a warm slot allocates nothing.
 template <typename T, typename Fill>
 const Message& fill_message(Message& slot, Fill&& fill) {
   if (!std::holds_alternative<T>(slot)) slot.emplace<T>();
   fill(std::get<T>(slot));
   return slot;
-}
-
-/// Non-owning handle over a caller-kept message: the aliasing
-/// constructor with an empty owner yields a shared_ptr with NO control
-/// block, so creating and copying it costs two pointer stores — no
-/// allocation, no refcount traffic.  The caller must keep `msg` alive
-/// and unmodified until the send completes (synchronous delivery
-/// included) and the delivery sink must not retain the envelope's views
-/// beyond the sink call (inline, they alias `msg`) — the same lifetime
-/// contract as Envelope::decoded.  Senders that cannot promise that use
-/// pooled_message instead.
-[[nodiscard]] inline std::shared_ptr<const Message> borrow_message(
-    const Message& msg) {
-  return {std::shared_ptr<const void>{}, &msg};
 }
 
 /// A recycled encode buffer (cleared, capacity retained) with an

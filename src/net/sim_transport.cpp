@@ -11,17 +11,14 @@
 
 namespace dvv::net {
 
-void SimTransport::send(NodeId from, NodeId to,
-                        const std::shared_ptr<const Message>& msg,
-                        const std::shared_ptr<const void>& decoded,
-                        std::size_t size_hint) {
+void SimTransport::send(NodeId from, NodeId to, const Message& msg,
+                        const void* decoded, std::size_t size_hint) {
   // This transport is byte-faithful: the message crosses as its real
   // codec encoding and the sender's decoded fast-path payload is
-  // dropped on the floor (never retained, so the by-ref parameter costs
-  // this transport no refcount traffic at all).
+  // dropped on the floor.
   (void)decoded;
   std::shared_ptr<std::string> bytes = pooled_buffer();
-  encode_into(*msg, *bytes);
+  encode_into(msg, *bytes);
   DVV_ASSERT_MSG(size_hint == 0 || bytes->size() == size_hint,
                  "net: sender's size hint disagrees with the real encoding");
   ++stats_.sent;
@@ -29,7 +26,7 @@ void SimTransport::send(NodeId from, NodeId to,
   obs::NetMetrics& m = met_;
   if (m.msgs_sent.armed()) {
     m.msgs_sent.inc();
-    m.sent_by_type[msg->index()].inc();
+    m.sent_by_type[msg.index()].inc();
     m.wire_bytes_sent.inc(bytes->size());
   }
   // Fault decisions are drawn unconditionally and in a fixed order so

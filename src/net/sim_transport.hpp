@@ -55,10 +55,9 @@ class SimTransport final : public Transport {
   /// the metered wire size) and drops any sender-attached decoded
   /// payload: whatever survives this transport's faults is decoded from
   /// the wire at delivery, like on a real network.
-  void send(NodeId from, NodeId to, const std::shared_ptr<const Message>& msg,
-            const std::shared_ptr<const void>& decoded = nullptr,
+  void send(NodeId from, NodeId to, const Message& msg,
+            const void* decoded = nullptr,
             std::size_t size_hint = 0) override;
-  using Transport::send;
 
   /// Advances one tick and delivers every due message in (due, seq)
   /// order, one envelope each.  Messages whose link is cut by the

@@ -106,12 +106,10 @@ void ThreadedTransport::enqueue(std::size_t index, Entry entry) {
   if (need_start) start();  // lazy self-hosted spin-up (idempotent)
 }
 
-void ThreadedTransport::send(NodeId from, NodeId to,
-                             const std::shared_ptr<const Message>& msg,
-                             const std::shared_ptr<const void>& decoded,
-                             std::size_t size_hint) {
+void ThreadedTransport::send(NodeId from, NodeId to, const Message& msg,
+                             const void* decoded, std::size_t size_hint) {
   // Byte-faithful like SimTransport: the frame crosses as its real
-  // codec encoding and the sender's decoded alias never crosses a
+  // codec encoding and the sender's decoded pointer never crosses a
   // thread boundary.
   (void)decoded;
   Entry entry;
@@ -120,14 +118,14 @@ void ThreadedTransport::send(NodeId from, NodeId to,
   // encode_into targets a thread_local scratch Writer, so concurrent
   // senders each use their own; the result is a plain owned string the
   // receiving shard can free without touching our pools.
-  encode_into(*msg, entry.bytes);
+  encode_into(msg, entry.bytes);
   DVV_ASSERT_MSG(size_hint == 0 || entry.bytes.size() == size_hint,
                  "net: sender's size hint disagrees with the real encoding");
   const std::size_t index = shard_of(to);
   Shard& shard = *shards_[index];
   if (met_.msgs_sent.armed()) {
     met_.msgs_sent.inc();
-    met_.sent_by_type[msg->index()].inc();
+    met_.sent_by_type[msg.index()].inc();
     met_.wire_bytes_sent.inc(entry.bytes.size());
   }
   if (!link_up(from, to)) {

@@ -21,8 +21,8 @@
 // receiving shard strict-decodes the bytes (decode_view_or_reject),
 // exactly like SimTransport: bytes this transport framed always parse,
 // and a frame that does not is counted and dropped, never an abort.
-// The sender's `decoded` fast-path alias is dropped at send time (it
-// may alias live sender state — see Envelope::decoded).
+// The sender's `decoded` fast-path pointer is dropped at send time (it
+// points at live sender state — see Envelope::decoded).
 //
 // Quiescence.  A global atomic in-flight count is incremented BEFORE an
 // entry is enqueued and decremented AFTER its sink returns, so a
@@ -84,10 +84,9 @@ class ThreadedTransport final : public Transport {
   /// Serializes on the calling thread, enqueues to shard_of(to).  Safe
   /// from any thread.  Lazily starts the self-hosted workers unless a
   /// wake hook was installed (hosted mode).
-  void send(NodeId from, NodeId to, const std::shared_ptr<const Message>& msg,
-            const std::shared_ptr<const void>& decoded = nullptr,
+  void send(NodeId from, NodeId to, const Message& msg,
+            const void* decoded = nullptr,
             std::size_t size_hint = 0) override;
-  using Transport::send;
 
   /// Enqueues a closure into `shard`'s serial domain.  Safe from any
   /// thread, including shard threads (cross-shard request forwarding).

@@ -33,7 +33,9 @@
 // attach the already-decoded state payload, and the metered size is the
 // exact codec size (net::wire_size) — zero copies, so the message layer
 // costs nothing on the hot path.  Either way wire accounting is the
-// same bytes-on-the-wire number.
+// same bytes-on-the-wire number, and every transport is done with the
+// sender's message (and its decoded payload) when send() returns, so
+// senders lend both by reference.
 //
 // Partitions live in the base class: they are a topology fact, not a
 // timing artifact, so every transport honors them — an InlineTransport
@@ -94,14 +96,14 @@ struct Envelope {
   NodeId to = 0;
   MessageView view;
   /// Sender-attached fast-path payload (the decoded sibling state a
-  /// ReplicateMsg/HintMsg/HintDeliverMsg carries), valid only when the
-  /// transport delivered the sender's envelope unserialized.  It may be
-  /// a NON-OWNING alias of live sender state, so it is only safe to use
-  /// during a synchronous delivery inside send(); any transport that
-  /// queues messages must drop it at send time and let the receiver
-  /// decode the message's state field like a real peer would (the
-  /// byte-faithful SimTransport does exactly that).
-  std::shared_ptr<const void> decoded;
+  /// state-bearing message carries), non-null only when the transport
+  /// delivered the sender's message unserialized.  It points at live
+  /// sender state, so it is only safe to use during a synchronous
+  /// delivery inside send(); any transport that queues messages drops
+  /// it at send time and lets the receiver decode the message's state
+  /// field like a real peer would (the byte-faithful SimTransport does
+  /// exactly that).
+  const void* decoded = nullptr;
 };
 
 /// Cumulative transport accounting (observability for tests/benches).
@@ -131,22 +133,17 @@ class Transport {
   /// Must be set before the first send.
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
-  /// Hands one message to the wire.  `decoded` optionally carries the
-  /// sender's already-decoded state payload for zero-copy local
-  /// delivery (see Envelope::decoded).  `size_hint`, when nonzero, is
-  /// the message's exact wire_size — fan-out senders compute it once
-  /// and every send of the shared message skips the re-walk.
-  virtual void send(NodeId from, NodeId to,
-                    const std::shared_ptr<const Message>& msg,
-                    const std::shared_ptr<const void>& decoded = nullptr,
+  /// Hands one message to the wire.  The transport is done with `msg`
+  /// and `decoded` when this returns: it delivers inline or encodes the
+  /// message to bytes, so the caller may refill its slot at once.
+  /// `decoded` optionally points at the sender's already-decoded state
+  /// payload for zero-copy local delivery (see Envelope::decoded).
+  /// `size_hint`, when nonzero, is the message's exact wire_size —
+  /// fan-out senders compute it once and every send of the shared
+  /// message skips the re-walk.
+  virtual void send(NodeId from, NodeId to, const Message& msg,
+                    const void* decoded = nullptr,
                     std::size_t size_hint = 0) = 0;
-
-  /// Convenience: wraps a by-value message in a recycled pooled slot
-  /// (no per-send Message or control-block allocation once warm).
-  void send(NodeId from, NodeId to, Message msg) {
-    const std::shared_ptr<const Message> slot = pooled_message(std::move(msg));
-    send(from, to, slot);
-  }
 
   /// Delivers due messages (one tick of simulated network time).
   /// Returns the number of messages delivered.  Inline transports have
@@ -227,7 +224,7 @@ class Transport {
   /// shard, for a sharded transport).
   void deliver(std::uint64_t seq, NodeId from, NodeId to,
                const MessageView& view, TransportStats& stats,
-               const std::shared_ptr<const void>& decoded = nullptr) {
+               const void* decoded = nullptr) {
     DVV_ASSERT_MSG(sink_ != nullptr, "net: transport has no delivery sink");
     ++stats.delivered;
     if (met_.msgs_delivered.armed()) {
@@ -280,15 +277,15 @@ class InlineTransport final : public Transport {
  public:
   [[nodiscard]] const char* name() const noexcept override { return "inline"; }
 
-  void send(NodeId from, NodeId to, const std::shared_ptr<const Message>& msg,
-            const std::shared_ptr<const void>& decoded = nullptr,
+  void send(NodeId from, NodeId to, const Message& msg,
+            const void* decoded = nullptr,
             std::size_t size_hint = 0) override {
     ++stats_.sent;
-    const std::size_t size = size_hint != 0 ? size_hint : wire_size(*msg);
+    const std::size_t size = size_hint != 0 ? size_hint : wire_size(msg);
     stats_.wire_bytes += size;
     if (met_.msgs_sent.armed()) {
       met_.msgs_sent.inc();
-      met_.sent_by_type[msg->index()].inc();
+      met_.sent_by_type[msg.index()].inc();
       met_.wire_bytes_sent.inc(size);
     }
     if (!link_up(from, to)) {
@@ -296,9 +293,8 @@ class InlineTransport final : public Transport {
       met_.partition_dropped.inc();
       return;
     }
-    deliver(next_seq_++, from, to, as_view(*msg), stats_, decoded);
+    deliver(next_seq_++, from, to, as_view(msg), stats_, decoded);
   }
-  using Transport::send;
 
   std::size_t pump() override { return 0; }
 

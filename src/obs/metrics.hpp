@@ -23,10 +23,10 @@ namespace dvv::obs {
 
 /// Message-type axis of the net.* counters, in net::Message variant
 /// order (checked by a static_assert in net/message.hpp).
-inline constexpr std::size_t kMessageTypes = 10;
+inline constexpr std::size_t kMessageTypes = 8;
 inline constexpr const char* kMessageTypeNames[kMessageTypes] = {
-    "replicate", "hint",     "hint_deliver", "hint_ack",  "sync_req",
-    "sync_resp", "read_req", "read_resp",    "write_req", "write_resp"};
+    "replicate", "hint",      "hint_deliver", "hint_ack",
+    "read_req",  "read_resp", "write_req",    "write_resp"};
 
 /// net.* — transport accounting: per-message-type send/deliver counts,
 /// fault taxonomy, wire bytes.  Sends and faults are bumped where each
@@ -55,9 +55,8 @@ struct NetMetrics {
   /// net.alloc.* — pool MISSES on the message hot path (net/message.hpp
   /// installs these as the net pools' miss hooks).  Each counts the
   /// acquisitions that had to touch the global allocator; at steady
-  /// state all three must sit at ~0 — the "zero allocations per op"
-  /// claim bench_transport asserts instead of assuming.
-  Counter alloc_messages;        ///< net.alloc.messages
+  /// state both must sit at ~0 — the "zero allocations per op" claim
+  /// bench_transport asserts instead of assuming.
   Counter alloc_envelopes;       ///< net.alloc.envelopes (arena blocks)
   Counter alloc_encode_buffers;  ///< net.alloc.encode_buffers
 };
@@ -116,7 +115,7 @@ struct StoreMetrics {
   Counter status_ok;           ///< store.status_ok
   Counter status_unavailable;  ///< store.status_unavailable
   Counter status_bad_token;    ///< store.status_bad_token
-  Counter anti_entropy_runs;   ///< store.anti_entropy_runs (both passes)
+  Counter anti_entropy_runs;   ///< store.anti_entropy_runs (digest sweeps)
 };
 [[nodiscard]] StoreMetrics& store_metrics();
 

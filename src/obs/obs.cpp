@@ -329,7 +329,6 @@ NetMetrics& net_metrics() {
     out.wire_bytes_delivered = r.counter("net.wire_bytes_delivered");
     out.decode_reject = r.counter("net.decode_reject");
     out.decode_reject_unknown = r.counter("net.decode_reject.unknown");
-    out.alloc_messages = r.counter("net.alloc.messages");
     out.alloc_envelopes = r.counter("net.alloc.envelopes");
     out.alloc_encode_buffers = r.counter("net.alloc.encode_buffers");
     for (std::size_t i = 0; i < kMessageTypes; ++i) {

@@ -38,8 +38,9 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
   store_config.servers = config.servers;
   store_config.replication = config.replication;
   store_config.storage = config.storage;
-  // Manual-pump SimTransport: fan-out and sync requests sit in real
-  // queues until a scheduled pump delivers them — the in-flight window.
+  // Manual-pump SimTransport: fan-out and coordination traffic sit in
+  // real queues until a scheduled pump delivers them — the in-flight
+  // window.
   store_config.transport.kind = net::TransportKind::kSim;
   std::uint64_t transport_seed = config.seed + 0x7ea7005ULL;
   store_config.transport.sim.seed = util::splitmix64(transport_seed);
@@ -104,28 +105,11 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
   std::function<void()> drain_completed;
 
   // One transport pump: delivers due queued messages (replication
-  // fan-out, coordination scatter/replies, hint flows, sync requests),
-  // resumes client operations whose quorum completed, and accounts any
-  // digest sessions that finished — their wire traffic occupies both
-  // endpoints, stalling foreground replies, exactly as before.
+  // fan-out, coordination scatter/replies, hint flows) and resumes
+  // client operations whose quorum completed.
   auto pump_transport = [&] {
     store.pump();
     drain_completed();
-    for (const auto& done : store.take_completed_syncs()) {
-      ++result.aae_sessions;
-      result.aae_stats.merge(done.stats);
-      result.aae_session_bytes.add(static_cast<double>(done.stats.wire_bytes));
-      const double duration =
-          static_cast<double>(done.stats.rounds) * kNetwork.base_ms +
-          static_cast<double>(done.stats.wire_bytes) *
-              (1.0 / kNetwork.bandwidth_bytes_per_ms +
-               kNetwork.cpu_ms_per_byte);
-      const SimTime busy = queue.now() + duration;
-      repair_busy_until[done.initiator] =
-          std::max(repair_busy_until[done.initiator], busy);
-      repair_busy_until[done.responder] =
-          std::max(repair_busy_until[done.responder], busy);
-    }
   };
 
   // Forward declarations of the per-client phase functions, expressed as
@@ -365,22 +349,31 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
     }
   };
 
-  // Background anti-entropy: periodic digest sync requests between
-  // random replica pairs, racing the foreground workload through the
-  // same message queues (a partition that cuts the pair kills the
-  // request like any other message).  The session runs when the
-  // request is pumped; completion accounting lives in pump_transport.
-  // Stops rescheduling once every client loop has drained so the queue
-  // can empty.
+  // Background anti-entropy: every tick a random replica pair runs one
+  // digest session in place — none when either endpoint is down or a
+  // partition cuts the pair.  The session's metered wire traffic keeps
+  // both endpoints busy for its simulated duration, stalling their
+  // foreground replies.  Stops rescheduling once every client loop has
+  // drained so the queue can empty.
   std::function<void()> aae_tick = [&] {
     if (live_clients == 0) return;
     const std::size_t n = config.servers;
     auto a = static_cast<kv::ReplicaId>(rng.index(n));
     auto b = static_cast<kv::ReplicaId>(rng.index(n - 1));
     if (b >= a) ++b;
-    if (store.alive(a) && store.alive(b)) {
-      (void)store.request_sync(a, b);
-      queue.schedule_in(kNetwork.sample(rng, 32), pump_transport);
+    if (store.alive(a) && store.alive(b) && store.transport().link_up(a, b)) {
+      const sync::SyncStats stats = store.anti_entropy_digest_pair(a, b);
+      ++result.aae_sessions;
+      result.aae_stats.merge(stats);
+      result.aae_session_bytes.add(static_cast<double>(stats.wire_bytes));
+      const double duration =
+          static_cast<double>(stats.rounds) * kNetwork.base_ms +
+          static_cast<double>(stats.wire_bytes) *
+              (1.0 / kNetwork.bandwidth_bytes_per_ms +
+               kNetwork.cpu_ms_per_byte);
+      const SimTime busy = queue.now() + duration;
+      repair_busy_until[a] = std::max(repair_busy_until[a], busy);
+      repair_busy_until[b] = std::max(repair_busy_until[b], busy);
     }
     queue.schedule_in(config.aae_interval_ms, aae_tick);
   };
@@ -455,7 +448,7 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
   }
   queue.run();
   // Drain whatever is still in flight (fan-out whose pump landed before
-  // its due tick, duplicate copies, unanswered sync requests).
+  // its due tick, duplicate copies).
   while (!store.transport().idle()) pump_transport();
 
   result.sim_duration_ms = queue.now();

@@ -79,8 +79,8 @@ struct SimStoreConfig {
   std::size_t servers = 5;
   std::size_t replication = 3;
 
-  /// Transport fault injection on the replication/sync message layer
-  /// (net::SimTransport): per-message drop/duplicate probability and
+  /// Transport fault injection on the replication and coordination
+  /// message layer (net::SimTransport): per-message drop/duplicate probability and
   /// reorder window (in pump ticks).
   double msg_drop_probability = 0.0;
   double msg_duplicate_probability = 0.0;
@@ -94,9 +94,10 @@ struct SimStoreConfig {
   double partition_interval_ms = 0.0;
   double partition_duration_ms = 20.0;
 
-  /// Background anti-entropy: every `aae_interval_ms` a random alive
-  /// replica pair runs one digest sync session (src/sync).  The session
-  /// keeps a replica busy for the simulated duration of its wire
+  /// Background anti-entropy: every `aae_interval_ms` a random alive,
+  /// connected replica pair runs one digest session in place (src/sync,
+  /// Store::anti_entropy_digest_pair).  The session keeps both
+  /// endpoints busy for the simulated duration of its metered wire
   /// traffic, and foreground requests hitting a busy replica stall for
   /// the residual — repair traffic competes with request latency.
   /// 0 disables background AAE.

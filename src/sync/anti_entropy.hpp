@@ -30,14 +30,15 @@
 //                 every alive owner's state, fold it into an empty
 //                 Stored in preference-list order, scatter the merge.
 //                 Folding original states in preference order is
-//                 exactly what the legacy full pass does per key, and a
-//                 repaired key never diverges again within the pass, so
-//                 each key is folded at most once from its pre-repair
-//                 states — the digest fixed point is byte-identical to
-//                 the legacy fixed point (every kernel's sync() keeps
-//                 survivors in deterministic (mine, theirs) order).
-//                 tests/anti_entropy_convergence_test.cpp checks this
-//                 for every mechanism.
+//                 exactly what a full gather-merge-scatter pass does
+//                 per key, and a repaired key never diverges again
+//                 within the pass, so each key is folded at most once
+//                 from its pre-repair states — the digest fixed point
+//                 is byte-identical to the full pass's (every kernel's
+//                 sync() keeps survivors in deterministic (mine,
+//                 theirs) order).  tests/anti_entropy_convergence_test
+//                 .cpp checks this for every mechanism against that
+//                 full pass, kept there as the oracle.
 //
 // Determinism: no randomness anywhere in this subsystem.  Which pairs
 // sync and when is the caller's choice (driven by its seeded Rng);

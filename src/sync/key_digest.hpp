@@ -10,8 +10,8 @@
 // deliberately order-sensitive (it hashes the raw encoding): replicas
 // holding the same sibling *set* in different internal orders will be
 // repaired into the canonical merged form, which is exactly what makes
-// digest-based repair reach the same byte-level fixed point as the
-// legacy gather-merge-scatter pass.
+// digest-based repair reach the same byte-level fixed point as a full
+// gather-merge-scatter pass over every key.
 //
 // The hash is FNV-1a 64 with a splitmix64 finalizer — fast, dependency
 // free, and deterministic across platforms (no pointers, no seeds).

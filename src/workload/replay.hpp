@@ -162,7 +162,7 @@ class StoreReplayer {
         break;
       }
       case TraceOp::Kind::kAntiEntropy: {
-        store_->anti_entropy();
+        (void)store_->anti_entropy_digest();
         ++stats_.anti_entropy_rounds;
         break;
       }

@@ -122,7 +122,7 @@ TEST(Cluster, PartialReplicationDivergesThenAntiEntropyConverges) {
   EXPECT_TRUE(cluster.get(key, pref[0]).found);
   EXPECT_FALSE(cluster.get(key, pref[1]).found);
 
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   for (const ReplicaId r : pref) {
     const auto got = cluster.get(key, r);
     ASSERT_TRUE(got.found);
@@ -141,7 +141,7 @@ TEST(Cluster, AntiEntropyConvergesDivergentSiblings) {
   alice.put_via(key, pref[0], "at-0", {});
   bob.put_via(key, pref[1], "at-1", {});
 
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   for (const ReplicaId r : pref) {
     const auto got = cluster.get(key, r);
     ASSERT_TRUE(got.found);
@@ -149,7 +149,7 @@ TEST(Cluster, AntiEntropyConvergesDivergentSiblings) {
   }
   // Idempotent: a second round changes nothing.
   const auto before = cluster.footprint();
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   const auto after = cluster.footprint();
   EXPECT_EQ(before.siblings, after.siblings);
   EXPECT_EQ(before.metadata_bytes, after.metadata_bytes);
@@ -186,7 +186,7 @@ TEST(Cluster, DeadCoordinatorFailsOver) {
 
   // Recovery + anti-entropy repairs the dead replica.
   cluster.replica(pref[0]).set_alive(true);
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   EXPECT_TRUE(cluster.get(key, pref[0]).found);
 }
 
@@ -359,7 +359,7 @@ TYPED_TEST(ClusterMechanismTest, AntiEntropyConvergesAllReplicas) {
   ClientSession<TypeParam> alice(dvv::kv::client_actor(0), cluster);
   const auto pref = cluster.preference_list("k");
   alice.put_via("k", pref[0], "v", {});
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   for (const ReplicaId r : pref) {
     EXPECT_TRUE(cluster.get("k", r).found);
   }

@@ -71,7 +71,7 @@ TEST_P(GeometrySweep, AntiEntropyConvergesAllGeometries) {
   const auto trace = dvv::workload::generate_trace(spec(), config().replication);
   const auto store = dvv::kv::make_store(config());
   dvv::workload::replay(*store, trace);
-  store->anti_entropy();
+  store->anti_entropy_digest();
   expect_converged(*store);
 }
 
@@ -79,10 +79,10 @@ TEST_P(GeometrySweep, AntiEntropyIsAFixedPoint) {
   const auto trace = dvv::workload::generate_trace(spec(), config().replication);
   const auto store = dvv::kv::make_store(config());
   dvv::workload::replay(*store, trace);
-  store->anti_entropy();
+  store->anti_entropy_digest();
   const auto once = store->footprint();
-  store->anti_entropy();
-  store->anti_entropy();
+  store->anti_entropy_digest();
+  store->anti_entropy_digest();
   const auto thrice = store->footprint();
   EXPECT_EQ(once.siblings, thrice.siblings);
   EXPECT_EQ(once.metadata_bytes, thrice.metadata_bytes);
@@ -108,8 +108,8 @@ TEST_P(GeometrySweep, ReplicationLuckDoesNotChangeConvergedState) {
   const auto eager = dvv::kv::make_store(config());
   dvv::workload::replay(*lazy, lazy_trace);
   dvv::workload::replay(*eager, eager_trace);
-  lazy->anti_entropy();
-  eager->anti_entropy();
+  lazy->anti_entropy_digest();
+  eager->anti_entropy_digest();
   expect_converged(*lazy);
   expect_converged(*eager);
 }

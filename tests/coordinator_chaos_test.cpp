@@ -319,7 +319,6 @@ TYPED_TEST(CoordinatorChaosTest,
       }
     }
     EXPECT_EQ(faulted.anti_entropy_digest().stats.keys_shipped, 0u);
-    EXPECT_EQ(faulted.anti_entropy(), 0u);
     EXPECT_EQ(faulted.requests_in_flight(), 0u)
         << "every request slot must be retired by quiesce";
   }
@@ -413,7 +412,9 @@ TEST(AsyncReplay, ControlPlaneStepsDrawNothingFromTheFaultStream) {
   // while they send the same messages, so a step whose traffic depends
   // on replica state (and so on the mechanism) would shift every later
   // drop, duplicate and delay.  Anti-entropy rounds and membership
-  // transitions must therefore send nothing.
+  // transitions must therefore send nothing — and a digest sweep or
+  // pair session run while messages are in flight must neither send
+  // nor deliver them.
   for (const char* mechanism : {"dvvset", "causal-history"}) {
     SCOPED_TRACE(mechanism);
     const auto trace = dvv::workload::generate_trace(async_spec(11), 3);
@@ -421,6 +422,7 @@ TEST(AsyncReplay, ControlPlaneStepsDrawNothingFromTheFaultStream) {
     dvv::net::Transport& net = store->transport();
     dvv::workload::StoreReplayer replayer(*store, trace);
     std::size_t rounds = 0;
+    bool probed = false;
     for (const dvv::workload::TraceOp& op : trace.ops) {
       const std::uint64_t sent = net.stats().sent;
       replayer.step(op);
@@ -428,8 +430,31 @@ TEST(AsyncReplay, ControlPlaneStepsDrawNothingFromTheFaultStream) {
         ++rounds;
         EXPECT_EQ(net.stats().sent, sent) << "anti-entropy round " << rounds;
       }
+      if (probed || rounds == 0 || net.idle()) continue;
+      // Once, mid-trace with traffic queued: a full sweep, then one
+      // session between the first connected pair of alive replicas.
+      probed = true;
+      const std::uint64_t before = net.stats().sent;
+      const std::size_t in_flight = net.in_flight();
+      (void)store->anti_entropy_digest();
+      EXPECT_EQ(net.stats().sent, before) << "digest sweep";
+      EXPECT_EQ(net.in_flight(), in_flight) << "digest sweep";
+      bool paired = false;
+      for (ReplicaId a = 0; a < kServers && !paired; ++a) {
+        for (ReplicaId b = a + 1; b < kServers && !paired; ++b) {
+          if (!store->alive(a) || !store->alive(b) || !net.link_up(a, b)) {
+            continue;
+          }
+          paired = true;
+          (void)store->anti_entropy_digest_pair(a, b);
+        }
+      }
+      EXPECT_TRUE(paired);
+      EXPECT_EQ(net.stats().sent, before) << "pair session";
+      EXPECT_EQ(net.in_flight(), in_flight) << "pair session";
     }
     ASSERT_GT(rounds, 0u);
+    ASSERT_TRUE(probed);
 
     // Membership transitions on the drained store.
     (void)replayer.finish();

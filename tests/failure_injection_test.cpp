@@ -119,7 +119,7 @@ TEST_P(FailureSeedSweep, RecoveryPlusAntiEntropyConverges) {
 
   // Bring everyone back and run one full repair round.
   for (ReplicaId s = 0; s < store->servers(); ++s) store->set_alive(s, true);
-  store->anti_entropy();
+  store->anti_entropy_digest();
   expect_converged(*store);
 }
 
@@ -166,7 +166,7 @@ TEST(CrashMatrix, MemBackendCrashIsTotalLossUntilAaeRepairs) {
   EXPECT_FALSE(cluster.get(key, pref[1]).found)
       << "no log: recovery restores nothing";
 
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   const auto got = cluster.get(key, pref[1]);
   ASSERT_TRUE(got.found) << "peers repair the wiped replica";
   EXPECT_EQ(got.values, std::vector<std::string>{"replicated"});
@@ -185,7 +185,8 @@ TEST(CrashMatrix, WalWriteThroughCrashLosesNothing) {
   const auto got = cluster.get("k", pref[0]);
   ASSERT_TRUE(got.found);
   EXPECT_EQ(got.values, std::vector<std::string>{"v1"});
-  EXPECT_EQ(cluster.anti_entropy(), 0u) << "nothing to repair";
+  EXPECT_EQ(cluster.anti_entropy_digest().stats.keys_shipped, 0u)
+      << "nothing to repair";
 }
 
 TEST(CrashMatrix, WalCrashBeforeFlushLosesTailThenAaeRestoresIt) {
@@ -210,7 +211,7 @@ TEST(CrashMatrix, WalCrashBeforeFlushLosesTailThenAaeRestoresIt) {
   EXPECT_EQ(got.values, std::vector<std::string>{"durable"})
       << "the tail write must be gone after replay";
 
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   const auto repaired = cluster.get(key, pref[0]);
   ASSERT_TRUE(repaired.found);
   EXPECT_EQ(repaired.values, std::vector<std::string>{"in-the-tail"})
@@ -236,7 +237,7 @@ TEST(CrashMatrix, WalCrashMidSegmentTornWriteIsDroppedByCrc) {
   ASSERT_TRUE(got.found);
   EXPECT_EQ(got.values, std::vector<std::string>{"durable"});
 
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   EXPECT_EQ(cluster.get(key, pref[0]).values,
             std::vector<std::string>{"torn-away"});
 }
@@ -255,7 +256,7 @@ TEST(CrashMatrix, RecoverThenAaeConvergesUnderChaoticCrashFaults) {
     if (!store->alive(s)) (void)store->recover(s);
   }
   store->deliver_hints();
-  store->anti_entropy();
+  store->anti_entropy_digest();
   expect_converged(*store);
 }
 
@@ -282,7 +283,7 @@ TEST(CrashMatrix, LossyRecoveryNeverReusesDots) {
   // bump this would be dot (pref[0], 1) again == v1's id at pref[1].
   cluster.put(key, pref[0], dvv::kv::client_actor(1), {}, "v2", {pref[1]});
 
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   for (const auto r : {pref[0], pref[1]}) {
     const auto got = cluster.get(key, r);
     ASSERT_TRUE(got.found);
@@ -327,7 +328,7 @@ TEST(FailureRecovery, StaleReplicaCannotResurrectOverwrittenData) {
   }
   cluster.replica(pref[2]).set_alive(true);  // back, still holding v1
 
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
   for (const auto r : pref) {
     const auto got = cluster.get(key, r);
     ASSERT_TRUE(got.found);
@@ -357,7 +358,7 @@ TEST(FailureRecovery, WritesDuringOutageSurviveRepair) {
   alice.put(key, "alice-blind");
 
   cluster.replica(pref[0]).set_alive(true);
-  cluster.anti_entropy();
+  cluster.anti_entropy_digest();
 
   for (const auto r : pref) {
     const auto got = cluster.get(key, r);

@@ -155,7 +155,7 @@ std::uint64_t run_storm(Cluster<M>& cluster, std::uint64_t seed, bool storm) {
         cluster.heal();
       }
       if (do_pump) cluster.pump();
-      if (do_sync) (void)cluster.request_sync(sync_a, sync_b);
+      if (do_sync) (void)cluster.anti_entropy_digest_pair(sync_a, sync_b);
     }
 
     const Key key = "key-" + std::to_string(rng.index(kKeys));
@@ -265,7 +265,6 @@ TYPED_TEST(MembershipChaosTest, StormConvergesToStaticRingTwin) {
 
     // And it is a fixed point: nothing ships on one more pass.
     EXPECT_EQ(stormed.anti_entropy_digest().stats.keys_shipped, 0u);
-    EXPECT_EQ(stormed.anti_entropy(), 0u);
   }
 }
 

@@ -41,8 +41,6 @@ std::vector<Message> specimens() {
       HintMsg{2, "cart", state},
       HintDeliverMsg{3, "k", state},
       HintAckMsg{2, "cart", 0x1122334455667788ULL},
-      SyncReqMsg{42},
-      SyncRespMsg{42, 3, 17, 9, 2, 4096},
       CoordReadReqMsg{5, "cart"},
       CoordReadRespMsg{5, true, state},
       CoordWriteReqMsg{6, "cart", state},
@@ -103,30 +101,31 @@ TEST(NetDecode, RejectsTrailingGarbage) {
 
 TEST(NetDecode, RejectsUnknownTag) {
   EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x63')).has_value());
-  // 0x0a is the first out-of-range tag.
-  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0a')).has_value());
-  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x0b')).has_value());
+  // 0x08 is the first out-of-range tag.
+  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x08')).has_value());
+  EXPECT_FALSE(try_decode_from_bytes(std::string(1, '\x09')).has_value());
 }
 
 TEST(NetDecode, RejectsNonCanonicalVarint) {
-  // Tag 4 = SyncReqMsg.  [0x80 0x00] is 0 encoded with a padding byte —
-  // a lenient LEB128 reader accepts it, the strict decode must not
-  // (two wire forms for one value breaks canonical round-trips).
+  // Tag 7 = CoordWriteRespMsg{req}.  [0x80 0x00] is 0 encoded with a
+  // padding byte — a lenient LEB128 reader accepts it, the strict
+  // decode must not (two wire forms for one value breaks canonical
+  // round-trips).
   EXPECT_FALSE(
-      try_decode_from_bytes(std::string("\x04\x80\x00", 3)).has_value());
+      try_decode_from_bytes(std::string("\x07\x80\x00", 3)).has_value());
   // The minimal encoding of the same frame is accepted.
   const std::optional<Message> ok =
-      try_decode_from_bytes(std::string("\x04\x00", 2));
+      try_decode_from_bytes(std::string("\x07\x00", 2));
   ASSERT_TRUE(ok.has_value());
-  EXPECT_TRUE(std::holds_alternative<SyncReqMsg>(*ok));
+  EXPECT_TRUE(std::holds_alternative<CoordWriteRespMsg>(*ok));
 }
 
 TEST(NetDecode, RejectsNonCanonicalBool) {
-  // Tag 7 = CoordReadRespMsg{req, found, state}: found must be 0 or 1.
+  // Tag 5 = CoordReadRespMsg{req, found, state}: found must be 0 or 1.
   EXPECT_TRUE(
-      try_decode_from_bytes(std::string("\x07\x05\x01\x00", 4)).has_value());
+      try_decode_from_bytes(std::string("\x05\x05\x01\x00", 4)).has_value());
   EXPECT_FALSE(
-      try_decode_from_bytes(std::string("\x07\x05\x02\x00", 4)).has_value());
+      try_decode_from_bytes(std::string("\x05\x05\x02\x00", 4)).has_value());
 }
 
 TEST(NetDecode, RejectsHugeLengthClaim) {
@@ -163,9 +162,10 @@ TEST(NetDecode, RejectTaxonomyCounters) {
   EXPECT_EQ(count("net.decode_reject"), base_total + 3);
   EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 2);
 
-  // Tag 10 once carried a batch of length-prefixed sub-frames, and tags
-  // 11 and 12 membership frames; a body that parsed under those layouts
-  // still counts as .unknown, never as a frame type.
+  // Tags 8 and 9 once carried the write request and its ack, tag 10 a
+  // batch of length-prefixed sub-frames, and tags 11 and 12 membership
+  // frames; a body that parsed under those layouts still counts as
+  // .unknown, never as a frame type.
   const auto by_type_total = [&count] {
     std::uint64_t sum = 0;
     for (const char* name : dvv::obs::kMessageTypeNames) {
@@ -183,13 +183,16 @@ TEST(NetDecode, RejectTaxonomyCounters) {
   EXPECT_FALSE(
       decode_or_reject(std::string("\x0c\x03\x2a\x07\x0c\x80\x20", 7))
           .has_value());
-  EXPECT_EQ(count("net.decode_reject"), base_total + 6);
-  EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 5);
+  EXPECT_FALSE(
+      decode_or_reject(std::string("\x08\x06\x04\x63\x61\x72\x74\x01\x73", 9))
+          .has_value());
+  EXPECT_EQ(count("net.decode_reject"), base_total + 7);
+  EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 6);
   EXPECT_EQ(by_type_total(), base_by_type);
 
   // A clean decode bumps nothing.
   EXPECT_TRUE(decode_or_reject(encode_to_bytes(specimens()[0])).has_value());
-  EXPECT_EQ(count("net.decode_reject"), base_total + 6);
+  EXPECT_EQ(count("net.decode_reject"), base_total + 7);
 
   reg.set_enabled(was_enabled);
 }

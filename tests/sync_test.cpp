@@ -305,22 +305,6 @@ TEST(ClusterDigestSync, MerkleTreeViewTracksReplicaContents) {
             cluster.merkle_tree_for(pref[1], "k").root());
 }
 
-// The digest pre-check satellite: a converged cluster's legacy pass
-// touches nothing, so `touched` now measures divergence.
-TEST(ClusterDigestSync, LegacyAntiEntropySkipsConvergedKeys) {
-  Cluster<DvvMechanism> cluster(small_config(), {});
-  ClientSession<DvvMechanism> alice(dvv::kv::client_actor(0), cluster);
-  alice.put("a", "1");  // fully replicated: already converged
-  const auto pref = cluster.preference_list("b");
-  alice.put_via("b", pref[0], "2", {});  // diverged: coordinator only
-
-  // Only the two replicas missing "b" get repaired: the coordinator
-  // already holds the merged bytes and is not rewritten.
-  const std::size_t touched = cluster.anti_entropy();
-  EXPECT_EQ(touched, pref.size() - 1);
-  EXPECT_EQ(cluster.anti_entropy(), 0u) << "converged cluster: zero touches";
-}
-
 // Regression (read-repair write-back satellite): duplicate replication
 // deliveries and repair write-backs of byte-identical state must not
 // dirty the Merkle trees or generate anti-entropy traffic.  The skip is
@@ -355,7 +339,6 @@ TEST(ClusterDigestSync, ConvergedRedeliveryDoesNotDirtyTreesOrShipRepairs) {
   EXPECT_EQ(after.keys_shipped, 0u);
   EXPECT_EQ(after.wire_bytes, clean.wire_bytes)
       << "AAE wire bytes must not grow after no-op redeliveries";
-  EXPECT_EQ(cluster.anti_entropy(), 0u);
 }
 
 // ---- simulator integration -------------------------------------------------

@@ -107,7 +107,7 @@ void run_workload(Cluster<M>& cluster, std::uint64_t seed, bool chaos) {
         cluster.heal();
       }
       if (do_pump) cluster.pump();
-      if (do_sync) (void)cluster.request_sync(sync_a, sync_b);
+      if (do_sync) (void)cluster.anti_entropy_digest_pair(sync_a, sync_b);
     }
 
     const Key key = "key-" + std::to_string(rng.index(kKeys));
@@ -207,7 +207,6 @@ TYPED_TEST(TransportChaosTest, QuiescedFixedPointMatchesUnfaultedTwin) {
 
     // And it is a fixed point: nothing ships on a second pass.
     EXPECT_EQ(faulted.anti_entropy_digest().stats.keys_shipped, 0u);
-    EXPECT_EQ(faulted.anti_entropy(), 0u);
   }
 }
 

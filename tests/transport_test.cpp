@@ -37,8 +37,8 @@ TEST(NetMessage, EveryTypeRoundTrips) {
       dvv::net::HintMsg{7, "key-2", "parked"},
       dvv::net::HintDeliverMsg{3, "key-3", "homeward"},
       dvv::net::HintAckMsg{3, "key-3", 0xdeadbeefULL},
-      dvv::net::SyncReqMsg{42},
-      dvv::net::SyncRespMsg{42, 3, 14, 9, 2, 1234},
+      dvv::net::CoordReadReqMsg{42, "key-4"},
+      dvv::net::CoordWriteRespMsg{42},
   };
   for (const Message& msg : messages) {
     const std::string bytes = dvv::net::encode_to_bytes(msg);
@@ -61,29 +61,29 @@ TEST(NetMessage, EncodingIsMetered) {
 // ---- InlineTransport -------------------------------------------------------
 
 Message probe(const std::string& tag) {
-  return dvv::net::SyncReqMsg{std::hash<std::string>{}(tag)};
+  return dvv::net::CoordWriteRespMsg{std::hash<std::string>{}(tag)};
 }
 
 std::uint64_t nonce_of(const Envelope& e) {
-  return std::get<dvv::net::SyncReqView>(e.view).nonce;
+  return std::get<dvv::net::CoordWriteRespView>(e.view).req;
 }
 
 TEST(InlineTransport, DeliversSynchronouslyInSendOrder) {
   InlineTransport transport;
   std::vector<std::uint64_t> seen;
   transport.set_sink([&](const Envelope& e) { seen.push_back(nonce_of(e)); });
-  transport.send(0, 1, dvv::net::SyncReqMsg{1});
+  transport.send(0, 1, dvv::net::CoordWriteRespMsg{1});
   EXPECT_EQ(seen.size(), 1u) << "delivery happens inside send()";
-  transport.send(1, 2, dvv::net::SyncReqMsg{2});
-  transport.send(0, 2, dvv::net::SyncReqMsg{3});
+  transport.send(1, 2, dvv::net::CoordWriteRespMsg{2});
+  transport.send(0, 2, dvv::net::CoordWriteRespMsg{3});
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_TRUE(transport.idle());
   EXPECT_EQ(transport.pump(), 0u);
   EXPECT_EQ(transport.stats().sent, 3u);
   EXPECT_EQ(transport.stats().delivered, 3u);
-  // Metered wire bytes = the exact codec encoding (tag + nonce varint).
+  // Metered wire bytes = the exact codec encoding (tag + req varint).
   EXPECT_EQ(transport.stats().wire_bytes,
-            3 * dvv::net::encode_to_bytes(dvv::net::SyncReqMsg{1}).size());
+            3 * dvv::net::encode_to_bytes(dvv::net::CoordWriteRespMsg{1}).size());
 }
 
 TEST(InlineTransport, PartitionRefusesCrossGroupSends) {
@@ -315,7 +315,7 @@ TEST(ClusterTransport, PartitionedSyncRequestMeansNoSession) {
 
   cluster.partition({{pref[0]}, {pref[1]}});
   const auto cut = cluster.anti_entropy_digest_pair(pref[0], pref[1]);
-  EXPECT_EQ(cut.keys_shipped, 0u) << "the request died on the cut link";
+  EXPECT_EQ(cut.rounds, 0u) << "no session runs across the cut";
   EXPECT_FALSE(cluster.get(key, pref[1]).found);
 
   cluster.heal();
@@ -404,7 +404,7 @@ TEST(ClusterTransport, DuplicatedDeliveriesAreIdempotent) {
     EXPECT_EQ(got.values, std::vector<std::string>{"v2"}) << "replica " << r;
   }
   // Nothing left to repair: duplicate deliveries did not fork state.
-  EXPECT_EQ(cluster.anti_entropy(), 0u);
+  EXPECT_EQ(cluster.anti_entropy_digest().stats.keys_shipped, 0u);
 }
 
 }  // namespace

@@ -118,8 +118,6 @@ void mint_wire(const fs::path& dir) {
       {"hint", HintMsg{2, "cart", state}},
       {"hint_deliver", HintDeliverMsg{2, "cart", state}},
       {"hint_ack", HintAckMsg{2, "cart", 0x1122334455667788ULL}},
-      {"sync_req", SyncReqMsg{42}},
-      {"sync_resp", SyncRespMsg{42, 3, 17, 9, 2, 4096}},
       {"read_req", CoordReadReqMsg{5, "cart"}},
       {"read_resp", CoordReadRespMsg{5, true, state}},
       {"write_req", CoordWriteReqMsg{6, "cart", state}},
